@@ -54,6 +54,20 @@ type Checker struct {
 // check in well under this.
 const DefaultBudget = 50_000_000
 
+// memoBytes caps the memory the memoization table may hold, counted as
+// key bytes plus memoEntryBytes of map overhead per entry. On a history
+// with wide concurrency nearly every DFS step reaches a new state, so an
+// uncapped table grows with the whole step budget (gigabytes at
+// DefaultBudget). Once the cap is reached the search stops inserting and
+// keeps pruning with the entries it has. Memoization only skips states
+// already explored without success, so a state missing from the table is
+// merely explored again: every verdict stays exact, and only the time to
+// reach it (bounded by the step budget) can grow.
+const (
+	memoBytes      = 64 << 20
+	memoEntryBytes = 64
+)
+
 // Check decides linearizability of hist against the FIFO queue spec,
 // starting from an empty queue.
 func (c *Checker) Check(hist []Op) (Result, error) {
@@ -84,13 +98,7 @@ func (c *Checker) CheckFrom(hist []Op, initial []int64) (Result, error) {
 		spec.Enqueue(v)
 	}
 
-	s := &search{
-		hist:   hist,
-		done:   make([]bool, n),
-		seen:   make(map[string]struct{}),
-		budget: budget,
-		order:  make([]int, 0, n),
-	}
+	s := newSearch(hist, initial, budget, memoBytes)
 	ok, exhausted := s.dfs(spec, 0)
 	switch {
 	case ok:
@@ -157,6 +165,79 @@ type search struct {
 	budget int
 	order  []int
 	nDone  int
+	// memo is the table's accounted size; memoCap its limit.
+	memo, memoCap int
+	// deqOf maps each value that occurs exactly once (one enqueue, or
+	// one initial element) to the index of the one successful dequeue
+	// returning it, or to neverDequeued. Values that occur more often
+	// are absent: the FIFO prune below does not apply to them.
+	deqOf map[int64]int
+}
+
+// neverDequeued marks a value no successful dequeue returns: it stays
+// in the queue to the end of the history.
+const neverDequeued = -1
+
+func newSearch(hist []Op, initial []int64, budget, memoCap int) *search {
+	s := &search{
+		hist:    hist,
+		done:    make([]bool, len(hist)),
+		seen:    make(map[string]struct{}),
+		budget:  budget,
+		order:   make([]int, 0, len(hist)),
+		memoCap: memoCap,
+		deqOf:   make(map[int64]int),
+	}
+	enqs := make(map[int64]int, len(hist)+len(initial))
+	for _, v := range initial {
+		enqs[v]++
+	}
+	deqs, deqAt := make(map[int64]int), make(map[int64]int)
+	for i, op := range hist {
+		switch {
+		case op.Kind == Enq:
+			enqs[op.Arg]++
+		case op.OK:
+			deqs[op.Ret]++
+			deqAt[op.Ret] = i
+		}
+	}
+	for v, n := range enqs {
+		if n != 1 {
+			continue
+		}
+		switch deqs[v] {
+		case 0:
+			s.deqOf[v] = neverDequeued
+		case 1:
+			s.deqOf[v] = deqAt[v]
+		}
+	}
+	return s
+}
+
+// fifoBlocked reports that enqueuing v behind the current contents of
+// spec can never complete into a legal linearization. FIFO order makes
+// the dequeue of every element already queued precede the dequeue of v,
+// so the branch is dead if an element ahead of v is never dequeued, or
+// if v's dequeue responded before that element's dequeue was invoked.
+// Only values that occur once take part, so the test is exact: it
+// prunes only branches the search would otherwise explore to failure.
+func (s *search) fifoBlocked(spec *model.Queue, v int64) bool {
+	dv, ok := s.deqOf[v]
+	if !ok || dv == neverDequeued {
+		return false
+	}
+	for i := 0; i < spec.Len(); i++ {
+		du, ok := s.deqOf[spec.At(i)]
+		if !ok {
+			continue
+		}
+		if du == neverDequeued || s.hist[dv].Res < s.hist[du].Inv {
+			return true
+		}
+	}
+	return false
 }
 
 // dfs tries to linearize the remaining operations given the current spec
@@ -173,7 +254,10 @@ func (s *search) dfs(spec *model.Queue, depth int) (ok, exhausted bool) {
 	if _, dup := s.seen[key]; dup {
 		return false, false
 	}
-	s.seen[key] = struct{}{}
+	if cost := len(key) + memoEntryBytes; s.memo+cost <= s.memoCap {
+		s.seen[key] = struct{}{}
+		s.memo += cost
+	}
 
 	// minRes is the earliest response among pending (not yet
 	// linearized) operations: any operation invoked after minRes cannot
@@ -197,8 +281,10 @@ func (s *search) dfs(spec *model.Queue, depth int) (ok, exhausted bool) {
 		var next *model.Queue
 		switch {
 		case op.Kind == Enq:
-			next = spec.Clone()
-			next.Enqueue(op.Arg)
+			if !s.fifoBlocked(spec, op.Arg) {
+				next = spec.Clone()
+				next.Enqueue(op.Arg)
+			}
 		case op.OK:
 			if v, okPeek := spec.Peek(); okPeek && v == op.Ret {
 				next = spec.Clone()

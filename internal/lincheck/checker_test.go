@@ -1,6 +1,8 @@
 package lincheck
 
 import (
+	"math"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -337,4 +339,53 @@ func TestDetectsBuggyQueue(t *testing.T) {
 		deqv(0, 2, 5, 6),
 		deqv(0, 1, 7, 8),
 	}), NotLinearizable)
+}
+
+// TestMemoBoundedOnWideHistory: on a history with wide concurrency —
+// every enqueue overlapping every other, then every dequeue, with one
+// dequeue returning a value nobody enqueued so no witness exists —
+// nearly every search step reaches a new state. The memo must stop
+// growing at its cap (and the heap with it) while the search still
+// runs to its step budget and answers Unknown.
+func TestMemoBoundedOnWideHistory(t *testing.T) {
+	const n = 10
+	var hist []Op
+	for i := 0; i < n; i++ {
+		hist = append(hist, enq(i, int64(i), int64(1+i), int64(100+i)))
+	}
+	for i := 0; i < n; i++ {
+		hist = append(hist, deqv(i, int64(i), int64(200+i), int64(300+i)))
+	}
+	hist = append(hist, deqv(n, 12345, 150, 400))
+	hist = ids(hist)
+
+	const budget = 1_000_000
+	run := func(memoCap int) (s *search, heap int64) {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		s = newSearch(hist, nil, budget, memoCap)
+		ok, exhausted := s.dfs(&model.Queue{}, 0)
+		if ok || !exhausted {
+			t.Fatalf("memo cap %d: ok=%v exhausted=%v, want the budget to run out", memoCap, ok, exhausted)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(s)
+		return s, int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	}
+
+	const capBytes = 1 << 20
+	capped, heap := run(capBytes)
+	if capped.memo > capBytes {
+		t.Fatalf("memo accounted %d bytes, cap %d", capped.memo, capBytes)
+	}
+	if heap > 4*capBytes {
+		t.Fatalf("search holds %d bytes of heap with a %d-byte memo cap", heap, capBytes)
+	}
+	// The cap must be what bounded it: uncapped, the same search keeps
+	// many times more.
+	if uncapped, _ := run(math.MaxInt); uncapped.memo < 8*capBytes {
+		t.Fatalf("uncapped memo only reached %d bytes; the history is not wide enough to test the cap", uncapped.memo)
+	}
 }

@@ -150,3 +150,52 @@ func TestCheckerVsBruteForceQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// genUniqueHistory decodes fuzz bytes into a small history whose
+// enqueued values are all distinct, with each successful dequeue
+// returning one of them — the histories on which the search's FIFO
+// prune (which applies only to values that occur once) does its work.
+// Intervals overlap as in genHistory; a value may be dequeued twice or
+// never, so both verdicts occur.
+func genUniqueHistory(data []byte) []Op {
+	hist := genHistory(data)
+	var vals []int64
+	for i := range hist {
+		if hist[i].Kind == Enq {
+			hist[i].Arg = int64(100 + i)
+			vals = append(vals, hist[i].Arg)
+		}
+	}
+	for i := range hist {
+		if hist[i].Kind == Deq && hist[i].OK && len(vals) > 0 {
+			hist[i].Ret = vals[int(data[(4*i+2)%len(data)])%len(vals)]
+		}
+	}
+	return hist
+}
+
+// TestFIFOPruneVsBruteForceQuick: on distinct-value histories the
+// search — with its FIFO prune, with and without memoization — must
+// agree with brute-force enumeration.
+func TestFIFOPruneVsBruteForceQuick(t *testing.T) {
+	if err := quick.Check(func(data []byte) bool {
+		hist := genUniqueHistory(data)
+		if len(hist) == 0 {
+			return true
+		}
+		want := bruteCheck(hist, nil)
+		var c Checker
+		if got, err := c.Check(hist); err != nil || got != want {
+			t.Logf("checker=%v brute=%v for %v", got, want, hist)
+			return false
+		}
+		ok, exhausted := newSearch(hist, nil, DefaultBudget, 0).dfs(&model.Queue{}, 0)
+		if exhausted || ok != (want == Linearizable) {
+			t.Logf("memo-less search ok=%v brute=%v for %v", ok, want, hist)
+			return false
+		}
+		return true
+	}, &quick.Config{MaxCount: 3000}); err != nil {
+		t.Fatal(err)
+	}
+}

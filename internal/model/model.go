@@ -57,6 +57,10 @@ func (q *Queue) Len() int { return q.n }
 // Empty reports whether the queue holds no elements.
 func (q *Queue) Empty() bool { return q.n == 0 }
 
+// At returns the i-th oldest element (0 is the head); i must be in
+// [0, Len()).
+func (q *Queue) At(i int) int64 { return q.buf[(q.head+i)%len(q.buf)] }
+
 // Snapshot returns the queue contents oldest-first. The returned slice is
 // freshly allocated and safe to retain.
 func (q *Queue) Snapshot() []int64 {

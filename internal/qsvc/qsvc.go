@@ -14,7 +14,10 @@
 //     state-CAS conservation rule guarantees a swept request is never
 //     also delivered;
 //   - queue-delay OBSERVABILITY (GetQDelays-style): a log₂-bucketed
-//     enqueue→dequeue latency histogram per queue;
+//     enqueue→dequeue latency histogram per queue, kept like the
+//     admitted/delivered/depth counters in one padded cell per session
+//     identity and summed on read, so the hot path never writes a
+//     cache line another worker writes;
 //   - ADMISSION CONTROL: per-queue depth and inflight caps that reject
 //     with the typed wfq.ErrAdmission backpressure error instead of
 //     letting the queue grow without bound.
@@ -22,7 +25,8 @@
 // The wait-free hot path is preserved: a request WITHOUT a deadline
 // moves through the underlying queue as a by-value envelope — no
 // completion handle, no timer, no allocation beyond what the backend
-// itself does (asserted by TestNoDeadlinePathAllocParity). Only
+// itself does (asserted by TestNoDeadlinePathAllocParity), and its
+// counting is adds to the session's own cell. Only
 // deadline-armed requests pay for a completion record and a slot in the
 // deadline heap.
 //

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"wfq"
 )
@@ -29,33 +30,62 @@ type Queue[T any] struct {
 	cfg  Config
 	wq   *wfq.Queue[env[T]]
 
-	// depth counts LIVE requests: admitted minus delivered minus
-	// expired. A swept request's element still occupies the backend as
-	// a tombstone, but it stopped counting against the admission cap
-	// the moment the sweep's CAS won — the cap bounds live work, not
-	// dead bytes.
+	// cells holds one counter cell per session identity (tid), created
+	// on the tid's first lease. The hot path counts only in its own
+	// session's cell; readers sum the cells.
+	cells []atomic.Pointer[cell]
+
+	// depth is the shared share of the LIVE request count (admitted
+	// minus delivered minus expired minus aborted). Under a MaxDepth cap
+	// it is the whole count, moved by a CAS loop so the cap is never
+	// exceeded even transiently; without a cap the sessions count in
+	// their cells and only the sweep and Delete's abort move this word.
+	// A swept request's element still occupies the backend as a
+	// tombstone, but it stopped counting against the admission cap the
+	// moment the sweep's CAS won — the cap bounds live work, not dead
+	// bytes.
 	depth    atomic.Int64
 	inflight atomic.Int64 // deadline-armed requests still pending
 
+	expired  atomic.Int64
+	rejected atomic.Int64
+	aborted  atomic.Int64 // armed requests failed by Delete/enqueue-abort
+
+	dl dlHeap
+}
+
+// cacheLine is the false-sharing unit cells are padded to: two cache
+// lines, for the adjacent-line prefetcher.
+const cacheLine = 128
+
+// cellCounters is one session identity's share of the queue's hot-path
+// counters. Only the session currently holding the tid writes them (a
+// released tid's next holder inherits the cell through the lease
+// handoff), so every add is to a line no other worker writes.
+type cellCounters struct {
 	admitted   atomic.Int64
 	delivered  atomic.Int64
-	expired    atomic.Int64
-	rejected   atomic.Int64
-	aborted    atomic.Int64 // armed requests failed by Delete/enqueue-abort
-	tombstones atomic.Int64 // swept envelopes discarded by dequeuers
+	tombstones atomic.Int64 // swept envelopes this session discarded
+	depth      atomic.Int64 // uncapped queues: this session's admits minus its deliveries
+	delays     Hist
+}
 
-	dl     dlHeap
-	delays Hist
+// cell pads cellCounters to whole cache-line pairs, so adjacent heap
+// cells never share a line.
+type cell struct {
+	cellCounters
+	_ [cacheLine - unsafe.Sizeof(cellCounters{})%cacheLine]byte
 }
 
 // newQueue builds a queue; the registry assigns name and generation.
 func newQueue[T any](name string, gen uint64, cfg Config) *Queue[T] {
 	cfg = cfg.withDefaults()
 	return &Queue[T]{
-		name: name,
-		gen:  gen,
-		cfg:  cfg,
-		wq:   wfq.New[env[T]](cfg.MaxThreads, cfg.options()...),
+		name:  name,
+		gen:   gen,
+		cfg:   cfg,
+		wq:    wfq.New[env[T]](cfg.MaxThreads, cfg.options()...),
+		cells: make([]atomic.Pointer[cell], cfg.MaxThreads),
 	}
 }
 
@@ -70,14 +100,33 @@ func (q *Queue[T]) Gen() uint64 { return q.gen }
 // Config reports the queue's (defaulted) configuration.
 func (q *Queue[T]) Config() Config { return q.cfg }
 
-// Depth reports the live request count (admission-cap view).
-func (q *Queue[T]) Depth() int64 { return q.depth.Load() }
+// Depth reports the live request count (admission-cap view). It sums
+// the session cells on read: exact when the queue is quiescent, a racy
+// snapshot (possibly off by the requests in motion) under traffic.
+func (q *Queue[T]) Depth() int64 {
+	d := q.depth.Load()
+	for i := range q.cells {
+		if c := q.cells[i].Load(); c != nil {
+			d += c.depth.Load()
+		}
+	}
+	return d
+}
 
 // Closed reports whether Close/Delete has begun on this queue.
 func (q *Queue[T]) Closed() bool { return q.wq.Closed() }
 
-// Delays reports the enqueue→dequeue latency summary.
-func (q *Queue[T]) Delays() DelaySnapshot { return q.delays.Snapshot() }
+// Delays reports the enqueue→dequeue latency summary, summed over the
+// session cells.
+func (q *Queue[T]) Delays() DelaySnapshot {
+	var t histTotals
+	for i := range q.cells {
+		if c := q.cells[i].Load(); c != nil {
+			t.add(&c.delays)
+		}
+	}
+	return t.snapshot()
+}
 
 // Stats is the per-queue observability snapshot (the stats wire verb
 // marshals it).
@@ -99,26 +148,31 @@ type Stats struct {
 	Delay      DelaySnapshot `json:"delay"`
 }
 
-// Stats snapshots the queue's counters. Racy across fields, monotone
-// within each — monitoring semantics.
+// Stats snapshots the queue's counters, summing the session cells.
+// Racy across fields, monotone within each — monitoring semantics.
 func (q *Queue[T]) Stats() Stats {
-	return Stats{
-		Name:       q.name,
-		Gen:        q.gen,
-		Backend:    q.cfg.Backend.String(),
-		Shards:     q.cfg.Shards,
-		Closed:     q.wq.Closed(),
-		Depth:      q.depth.Load(),
-		Len:        int64(q.wq.Len()),
-		Inflight:   q.inflight.Load(),
-		Admitted:   q.admitted.Load(),
-		Delivered:  q.delivered.Load(),
-		Expired:    q.expired.Load(),
-		Rejected:   q.rejected.Load(),
-		Aborted:    q.aborted.Load(),
-		Tombstones: q.tombstones.Load(),
-		Delay:      q.delays.Snapshot(),
+	st := Stats{
+		Name:     q.name,
+		Gen:      q.gen,
+		Backend:  q.cfg.Backend.String(),
+		Shards:   q.cfg.Shards,
+		Closed:   q.wq.Closed(),
+		Depth:    q.Depth(),
+		Len:      int64(q.wq.Len()),
+		Inflight: q.inflight.Load(),
+		Expired:  q.expired.Load(),
+		Rejected: q.rejected.Load(),
+		Aborted:  q.aborted.Load(),
+		Delay:    q.Delays(),
 	}
+	for i := range q.cells {
+		if c := q.cells[i].Load(); c != nil {
+			st.Admitted += c.admitted.Load()
+			st.Delivered += c.delivered.Load()
+			st.Tombstones += c.tombstones.Load()
+		}
+	}
+	return st
 }
 
 // Session is a leased per-goroutine identity on a Queue (it wraps a
@@ -127,6 +181,7 @@ func (q *Queue[T]) Stats() Stats {
 type Session[T any] struct {
 	q *Queue[T]
 	h *wfq.Handle[env[T]]
+	c *cell
 }
 
 // Session leases an identity; it fails with tid.ErrExhausted when
@@ -136,7 +191,22 @@ func (q *Queue[T]) Session() (*Session[T], error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Session[T]{q: q, h: h}, nil
+	return &Session[T]{q: q, h: h, c: q.cell(h.TID())}, nil
+}
+
+// cell returns tid's counter cell, creating it on the tid's first
+// lease. The cell outlives Release: the tid's next holder keeps
+// counting in it, so nothing a released session counted is lost.
+func (q *Queue[T]) cell(tid int) *cell {
+	p := &q.cells[tid]
+	if c := p.Load(); c != nil {
+		return c
+	}
+	c := new(cell)
+	if p.CompareAndSwap(nil, c) {
+		return c
+	}
+	return p.Load()
 }
 
 // Release returns the leased identity.
@@ -145,15 +215,15 @@ func (s *Session[T]) Release() { s.h.Release() }
 // Queue reports the session's queue.
 func (s *Session[T]) Queue() *Queue[T] { return s.q }
 
-// admitDepth charges one live request against the depth cap. The cap is
-// enforced with a CAS loop on the counter so the observed depth NEVER
-// exceeds the cap, not even transiently; with no cap it is one
-// fetch-and-add. (The CAS loop is lock-free, not wait-free — admission
-// under a cap is a policy gate, not part of the queue's progress
-// claims; the uncapped hot path keeps its single FAA.)
-func (q *Queue[T]) admitDepth() error {
+// admitDepth charges one live request against the depth, on session
+// cell c. Without a cap that is one add to c's own depth word. A cap is
+// enforced with a CAS loop on the shared word so the observed depth
+// NEVER exceeds the cap, not even transiently. (The CAS loop is
+// lock-free, not wait-free — admission under a cap is a policy gate,
+// not part of the queue's progress claims.)
+func (q *Queue[T]) admitDepth(c *cell) error {
 	if q.cfg.MaxDepth <= 0 {
-		q.depth.Add(1)
+		c.depth.Add(1)
 		return nil
 	}
 	for {
@@ -165,6 +235,16 @@ func (q *Queue[T]) admitDepth() error {
 		if q.depth.CompareAndSwap(d, d+1) {
 			return nil
 		}
+	}
+}
+
+// dropDepth releases one live request on session cell c: the shared
+// word under a cap, c's own word otherwise.
+func (q *Queue[T]) dropDepth(c *cell) {
+	if q.cfg.MaxDepth > 0 {
+		q.depth.Add(-1)
+	} else {
+		c.depth.Add(-1)
 	}
 }
 
@@ -198,21 +278,21 @@ func (q *Queue[T]) admitInflight() error {
 // wfq.ErrClosed (queue closed/deleted, nothing published),
 // tid-exhaustion from the session layer.
 func (s *Session[T]) Enqueue(v T, deadline time.Duration) (*Req, error) {
-	q := s.q
-	if err := q.admitDepth(); err != nil {
+	q, c := s.q, s.c
+	if err := q.admitDepth(c); err != nil {
 		return nil, err
 	}
 	now := time.Now().UnixNano()
 	if deadline <= 0 {
 		if err := s.h.TryEnqueue(env[T]{v: v, enq: now}); err != nil {
-			q.depth.Add(-1)
+			q.dropDepth(c)
 			return nil, err
 		}
-		q.admitted.Add(1)
+		c.admitted.Add(1)
 		return nil, nil
 	}
 	if err := q.admitInflight(); err != nil {
-		q.depth.Add(-1)
+		q.dropDepth(c)
 		return nil, err
 	}
 	r := &Req{deadline: now + int64(deadline), done: make(chan struct{})}
@@ -225,37 +305,37 @@ func (s *Session[T]) Enqueue(v T, deadline time.Duration) (*Req, error) {
 		if r.complete(stExpired, fmt.Errorf("enqueue on %q: %w", q.name, err)) {
 			q.aborted.Add(1)
 			q.inflight.Add(-1)
-			q.depth.Add(-1)
+			q.dropDepth(c)
 		}
 		return nil, err
 	}
-	q.admitted.Add(1)
+	c.admitted.Add(1)
 	return r, nil
 }
 
-// accept resolves one dequeued envelope: delivers plain envelopes
-// directly, claims armed ones with the conservation CAS, and discards
-// tombstones of swept requests. ok=false means "this envelope carried
-// nothing — keep dequeuing".
-func (q *Queue[T]) accept(e env[T]) (T, bool) {
+// accept resolves one dequeued envelope on session cell c: delivers
+// plain envelopes directly, claims armed ones with the conservation
+// CAS, and discards tombstones of swept requests. ok=false means "this
+// envelope carried nothing — keep dequeuing".
+func (q *Queue[T]) accept(c *cell, e env[T]) (T, bool) {
 	now := time.Now().UnixNano()
 	if e.r == nil {
-		q.depth.Add(-1)
-		q.delivered.Add(1)
-		q.delays.Observe(now - e.enq)
+		q.dropDepth(c)
+		c.delivered.Add(1)
+		c.delays.Observe(now - e.enq)
 		return e.v, true
 	}
 	if e.r.complete(stDelivered, nil) {
-		q.depth.Add(-1)
+		q.dropDepth(c)
 		q.inflight.Add(-1)
-		q.delivered.Add(1)
-		q.delays.Observe(now - e.enq)
+		c.delivered.Add(1)
+		c.delays.Observe(now - e.enq)
 		return e.v, true
 	}
 	// The sweep (or Delete) won the request: the element is a
 	// tombstone. Its accounting happened at the winning CAS; here we
 	// only count the physical discard.
-	q.tombstones.Add(1)
+	c.tombstones.Add(1)
 	var zero T
 	return zero, false
 }
@@ -270,7 +350,7 @@ func (s *Session[T]) TryDequeue() (T, bool) {
 			var zero T
 			return zero, false
 		}
-		if v, ok := s.q.accept(e); ok {
+		if v, ok := s.q.accept(s.c, e); ok {
 			return v, true
 		}
 	}
@@ -288,7 +368,7 @@ func (s *Session[T]) DequeueCtx(ctx context.Context) (T, error) {
 			var zero T
 			return zero, err
 		}
-		if v, ok := s.q.accept(e); ok {
+		if v, ok := s.q.accept(s.c, e); ok {
 			return v, nil
 		}
 	}

@@ -213,6 +213,14 @@ func (q *Queue[T]) clearHelp(rec *helpRec[T]) {
 // longer attribute the slot to this request.
 func (q *Queue[T]) closeRequest(rec *helpRec[T], seq uint64) {
 	q.clearHelp(rec)
+	// Unpin the last ticket's segment. Left in place, tSeg would keep a
+	// retired (ticketed, hence dropped) segment reachable — and through
+	// its next link every later segment the GC was given — for as long
+	// as the record stays idle. Seqlock order as in publishTicket: tPub
+	// is zeroed before tSeg moves, so a helper that read the old ticket
+	// fails its re-read instead of following nil.
+	rec.tPub.Store(0)
+	rec.tSeg.Store(nil)
 	rec.ctl.Store(ctlWord(seq, hsIdle))
 	q.slow.Add(-1)
 }
@@ -415,11 +423,11 @@ func (q *Queue[T]) resolveReserved(tid int, sl *slot[T]) {
 // the gap either publishes a ticket (then the tree finds it) or is
 // frozen pre-ticket (then nobody, scan included, could help it anyway).
 func (q *Queue[T]) helpOldest(tid int) {
-	cur := &q.helpCur[tid]
-	i := cur.i
-	cur.i++
-	if cur.i >= q.nthreads {
-		cur.i = 0
+	cur := &q.local[tid].helpCur
+	i := *cur
+	*cur++
+	if *cur >= q.nthreads {
+		*cur = 0
 	}
 	if i != tid {
 		q.helpRecord(tid, i, 0, false)

@@ -58,8 +58,15 @@
 // and-added again and is reset and pushed onto a small lock-free free
 // list of bounded capacity, making the steady state allocation-free.
 // Announcements are NOT cleared on operation exit (that would cost a
-// store per op); a stale announcement pins at most one retired segment
-// per thread, which the retire scan conservatively drops.
+// store per op), so the retirer often finds a peer still naming the
+// segment it just unlinked — on two busy cores, most of the time. Such
+// a segment waits in the retirer's small per-thread limbo and is
+// rescanned at that thread's next retirement, when the peer has long
+// since moved on: an unlinked segment can never pass enter's validation
+// again, so "not announced now" is as sound a verdict later as it is at
+// retire time (the retired-list practice of Michael's hazard pointers).
+// Only a full limbo, or a segment a helping ticket ever named, is
+// dropped to the GC.
 //
 // # Progress
 //
@@ -94,6 +101,12 @@ import (
 // announcement scans) are rare, small enough that a mostly-empty queue
 // holds only a few KiB.
 const DefaultSegSize = 1024
+
+// limboCap bounds each thread's limbo: retired segments still announced
+// by a peer at retirement, awaiting a rescan at the thread's next
+// retirement. Two entries carry a peer's stale announcement across that
+// retirement with one to spare; a full limbo drops to the GC.
+const limboCap = 2
 
 // FreeListCap bounds the recycling free list. Two segments cover the
 // steady state (one draining at head, one filling at tail); the slack
@@ -186,12 +199,14 @@ type freeSlot[T any] struct {
 	_ [sepBytes - 8]byte
 }
 
-// helpCursor is one thread's cyclic index into the helping records for
-// the deterministic probe backstop (owner-written only; padded because
-// it moves on every gated entry).
-type helpCursor struct {
-	i int
-	_ [sepBytes - 8]byte
+// threadLocal is one thread's owner-private state (padded: the cursor
+// moves on every gated entry). helpCur is the cyclic index into the
+// helping records for the deterministic probe backstop; limbo holds the
+// thread's retired segments that a peer still announced (see retire).
+type threadLocal[T any] struct {
+	helpCur int
+	limbo   [limboCap]*segment[T]
+	_       [sepBytes - 8 - limboCap*8]byte
 }
 
 // Queue is the ring-segment MPMC queue. Create one with New; all
@@ -221,11 +236,10 @@ type Queue[T any] struct {
 	// tree is the helptree announcement structure (helping mode only):
 	// slow requests announce (phase, tid) once their ticket is public,
 	// and gated entries descend to the oldest instead of scanning all
-	// records. helpPhase hands out the global priorities; helpCur is
-	// the per-thread cursor of the deterministic probe backstop.
+	// records. helpPhase hands out the global priorities.
 	tree      *helptree.Tree
-	helpCur   []helpCursor
 	helpPhase atomic.Uint64
+	local     []threadLocal[T]
 
 	// Reclamation and slow-lane statistics (see Stats). All are off the
 	// successful hot path: the segment counters move once per segSize
@@ -303,13 +317,13 @@ func New[T any](nthreads, segSize int, opts ...Option) *Queue[T] {
 		ann:      make([]annSlot[T], nthreads),
 		free:     make([]freeSlot[T], FreeListCap),
 		recs:     make([]helpRec[T], nthreads),
+		local:    make([]threadLocal[T], nthreads),
 	}
 	for i := range q.recs {
 		q.recs[i].tid = int32(i)
 	}
 	if o.helping {
 		q.tree = helptree.New(nthreads)
-		q.helpCur = make([]helpCursor, nthreads)
 	}
 	s := q.newSegment()
 	q.head.Store(s)
@@ -382,37 +396,89 @@ func (q *Queue[T]) putFree(s *segment[T]) bool {
 }
 
 // retire processes a segment the caller just unlinked from the chain
-// (the caller won the head-swing CAS, so it is the unique retirer).
-// This is the only announcement scan in the algorithm — once per
-// segSize dequeues. The retirer skips its own announcement: it is
-// necessarily still naming s (enter published it), and the retirer
-// makes no further use of s.
+// (the caller won the head-swing CAS, so it is the unique retirer),
+// together with the caller's limbo. This is the only announcement scan
+// in the algorithm — one pass over the array per segSize dequeues,
+// checking s and the limbo entries at once. The retirer skips its own
+// announcement: it is necessarily still naming s (enter published it),
+// it makes no further use of s, and it never uses a limbo entry again.
+//
+// A segment a helping ticket ever named is never reset: stale helpers
+// may still hold that ticket, and the one CAS they can try — reserve on
+// empty — must keep failing forever, which the terminal slot states
+// guarantee only if the segment keeps them. Such candidates are dropped
+// to the GC. Any other candidate no thread announces can never be
+// fetched-and-added again (an unlinked segment cannot pass enter's
+// validation), so it is reset and recycled. One still announced waits
+// in the limbo for the next retirement's scan, or is dropped to the GC
+// if the limbo is full. ticketed is re-read AFTER the scan: a ticket is
+// set only under its setter's announcement, so a setter the scan found
+// moved on has its store visible there.
 func (q *Queue[T]) retire(tid int, s *segment[T]) {
-	if s.ticketed.Load() {
-		// A helping ticket named a slot of s at some point. Stale
-		// helpers may still hold that ticket, and the one CAS they can
-		// try — reserve on empty — must keep failing forever, which the
-		// terminal slot states guarantee only if s is never reset. Let
-		// the GC have it.
-		q.ticketDrops.Add(1)
-		q.segDropped.Add(1)
-		return
-	}
-	for i := range q.ann {
-		if i != tid && q.ann[i].p.Load() == s {
-			// Announced by a thread that may be about to fetch-and-add
-			// on s — or by a stale announcement; either way recycling
-			// would be unsound or unverifiable, so let the GC have it.
-			q.segDropped.Add(1)
-			return
+	lim := &q.local[tid].limbo
+	cand := [limboCap + 1]*segment[T]{s}
+	copy(cand[1:], lim[:])
+	*lim = [limboCap]*segment[T]{}
+	for j, c := range cand {
+		if c != nil && c.ticketed.Load() {
+			q.dropTicketed()
+			cand[j] = nil
 		}
 	}
-	s.reset()
-	if q.putFree(s) {
-		q.segRecycled.Add(1)
-	} else {
-		q.segDropped.Add(1)
+	var held [limboCap + 1]bool
+	for i := range q.ann {
+		if i == tid {
+			continue
+		}
+		p := q.ann[i].p.Load()
+		for j, c := range cand {
+			if c != nil && p == c {
+				held[j] = true
+			}
+		}
 	}
+	// Limbo entries go first: they are the older retirements.
+	for j := len(cand) - 1; j >= 0; j-- {
+		c := cand[j]
+		switch {
+		case c == nil:
+		case held[j]:
+			// Announced by a thread that may be about to fetch-and-add
+			// on c — or by a stale announcement; recycling would be
+			// unsound or unverifiable now, so look again later.
+			if !q.toLimbo(lim, c) {
+				q.segDropped.Add(1)
+			}
+		case c.ticketed.Load():
+			q.dropTicketed()
+		default:
+			c.reset()
+			if q.putFree(c) {
+				q.segRecycled.Add(1)
+			} else {
+				q.segDropped.Add(1)
+			}
+		}
+	}
+}
+
+// dropTicketed counts a retired segment left to the GC because a helping
+// ticket named one of its slots.
+func (q *Queue[T]) dropTicketed() {
+	q.ticketDrops.Add(1)
+	q.segDropped.Add(1)
+}
+
+// toLimbo parks a still-announced retired segment in the caller's limbo;
+// false means the limbo is full.
+func (q *Queue[T]) toLimbo(lim *[limboCap]*segment[T], s *segment[T]) bool {
+	for i := range lim {
+		if lim[i] == nil {
+			lim[i] = s
+			return true
+		}
+	}
+	return false
 }
 
 // advanceTail moves tail past the filled segment s (announced by the
@@ -747,8 +813,8 @@ type Stats struct {
 	FreeSegments int `json:"free_segments"`
 	// Allocated counts segments ever heap-allocated; Reused free-list
 	// hits; Recycled retirements that re-entered the free list; Dropped
-	// segments left to the GC (announced at retirement, or free list
-	// full).
+	// segments left to the GC (ticketed, still announced with the
+	// retirer's limbo full, or free list full).
 	Allocated int64 `json:"allocated"`
 	Reused    int64 `json:"reused"`
 	Recycled  int64 `json:"recycled"`

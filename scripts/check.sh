@@ -6,6 +6,10 @@ set -eux
 go build ./...
 go vet ./...
 go test ./...
+# The benchmark (perfbench/) is its own module, so the root `go test
+# ./...` never reaches its correctness checks: injected drops,
+# duplicates and inversions must fail the audit.
+(cd perfbench && go test ./...)
 go test -race ./internal/core/ ./internal/hazard/ ./internal/sharded/ ./internal/ring/
 # Blocking stress under the race detector: the parking layer's lost-
 # wakeup and close/drain interleavings (internal/waiter), plus the
