@@ -10,9 +10,10 @@ import (
 
 // This file is the blocking and lifecycle surface of the public API:
 // Close with linearizable close-after-drain semantics, close-aware
-// TryEnqueue variants, and context-aware blocking dequeues, on all four
-// frontends (Queue, HPQueue, the sharded backend behind WithShards, and
-// Handle). The machinery lives in internal/waiter; see ALGORITHM.md,
+// TryEnqueue variants, and context-aware blocking dequeues, on Queue
+// (whatever its engine: KP, hazard-pointer, ring, or the sharded
+// frontend behind WithShards) and on Handle. The machinery lives in
+// internal/waiter; see ALGORITHM.md,
 // "Blocking and termination", for why parking preserves the wait-free
 // progress claims.
 
@@ -66,7 +67,7 @@ func (q *Queue[T]) TryEnqueueBatch(tid int, vs []T) error {
 	if !q.g.Enter(tid) {
 		return ErrClosed
 	}
-	q.enqueueBatch(tid, vs)
+	q.q.EnqueueBatch(tid, vs)
 	q.g.Exit(tid)
 	q.g.Notify(tid)
 	return nil
@@ -103,26 +104,9 @@ func (q *Queue[T]) DequeueBatchCtx(ctx context.Context, tid int, dst []T) (int, 
 // hiding elsewhere" as in the sharded frontend — and after Close has
 // quiesced the enqueue side (the only state in which the park loop
 // consults Drained), emptiness is permanent.
-type singleSource[T any] struct{ q backend[T] }
+type singleSource[T any] struct{ backend[T] }
 
-func (s singleSource[T]) Dequeue(tid int) (T, bool) { return s.q.Dequeue(tid) }
-func (s singleSource[T]) Drained() bool             { return true }
-
-func (s singleSource[T]) DequeueBatch(tid int, dst []T) int {
-	if b, ok := s.q.(batcher[T]); ok {
-		return b.DequeueBatch(tid, dst)
-	}
-	n := 0
-	for n < len(dst) {
-		v, ok := s.q.Dequeue(tid)
-		if !ok {
-			break
-		}
-		dst[n] = v
-		n++
-	}
-	return n
-}
+func (singleSource[T]) Drained() bool { return true }
 
 // Err implements waiter.Liveness for Handle: ErrReleased once the
 // lease's generation is retired. The blocking loops check it at the top
@@ -159,52 +143,6 @@ func (h *Handle[T]) DequeueBatchCtx(ctx context.Context, dst []T) (int, error) {
 	return n, wrapCtxErr(err)
 }
 
-// Close closes the handle's queue; see Queue.Close.
-func (q *HPQueue[T]) Close() error { return q.g.Close() }
-
-// Closed reports whether Close has begun.
-func (q *HPQueue[T]) Closed() bool { return q.g.Closed() }
-
-// TryEnqueue is the close-aware, waiter-notifying enqueue; see
-// Queue.TryEnqueue.
-func (q *HPQueue[T]) TryEnqueue(tid int, v T) error {
-	if !q.g.Enter(tid) {
-		return ErrClosed
-	}
-	q.q.Enqueue(tid, v)
-	q.g.Exit(tid)
-	q.g.Notify(tid)
-	return nil
-}
-
-// TryEnqueueBatch is the close-aware batch enqueue; see
-// Queue.TryEnqueueBatch.
-func (q *HPQueue[T]) TryEnqueueBatch(tid int, vs []T) error {
-	if !q.g.Enter(tid) {
-		return ErrClosed
-	}
-	q.q.EnqueueBatch(tid, vs)
-	q.g.Exit(tid)
-	q.g.Notify(tid)
-	return nil
-}
-
-// DequeueCtx is the blocking dequeue; see Queue.DequeueCtx.
-func (q *HPQueue[T]) DequeueCtx(ctx context.Context, tid int) (T, error) {
-	v, err := waiter.DequeueCtx[T](ctx, q.g, q.src, nil, tid, waiter.DefaultSpin, 1)
-	return v, wrapCtxErr(err)
-}
-
-// DequeueBatchCtx is the blocking batch dequeue; see
-// Queue.DequeueBatchCtx.
-func (q *HPQueue[T]) DequeueBatchCtx(ctx context.Context, tid int, dst []T) (int, error) {
-	n, err := waiter.DequeueBatchCtx[T](ctx, q.g, q.src, nil, tid, waiter.DefaultSpin, 1, dst)
-	return n, wrapCtxErr(err)
-}
-
-// Interface conformance: the int64 instantiations drive the harness's
+// Interface conformance: the int64 instantiation drives the harness's
 // blocking workloads and the soak tool's close-driven drain.
-var (
-	_ queues.Lifecycled = (*Queue[int64])(nil)
-	_ queues.Lifecycled = (*HPQueue[int64])(nil)
-)
+var _ queues.Lifecycled = (*Queue[int64])(nil)

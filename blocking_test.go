@@ -201,15 +201,70 @@ func TestHPQueueBlocking(t *testing.T) {
 	if _, err := q.DequeueCtx(context.Background(), 0); !errors.Is(err, ErrClosed) {
 		t.Fatalf("drained HP DequeueCtx: %v", err)
 	}
+
+	// The plain Enqueue goes through the same gate as TryEnqueue: it
+	// wakes a parked consumer, and on a closed queue it panics without
+	// publishing — as does EnqueueBatch.
+	t.Run("plain-enqueue-wakes", func(t *testing.T) {
+		q := NewHP[int](4, 0)
+		got := make(chan int, 1)
+		go func() {
+			v, err := q.DequeueCtx(context.Background(), 0)
+			if err != nil {
+				t.Errorf("DequeueCtx: %v", err)
+			}
+			got <- v
+		}()
+		awaitWaiters(t, q.g.EC(), 1)
+		q.Enqueue(1, 9)
+		select {
+		case v := <-got:
+			if v != 9 {
+				t.Fatalf("got %d", v)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("plain HP Enqueue did not wake the parked consumer")
+		}
+	})
+	t.Run("enqueue-after-close-panics", func(t *testing.T) {
+		q := NewHP[int](4, 0)
+		if err := q.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for name, enq := range map[string]func(){
+			"Enqueue":      func() { q.Enqueue(1, 10) },
+			"EnqueueBatch": func() { q.EnqueueBatch(1, []int{11, 12}) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s on closed HP queue did not panic", name)
+					}
+				}()
+				enq()
+			}()
+		}
+		if v, ok := q.Dequeue(0); ok {
+			t.Fatalf("closed HP queue published %d", v)
+		}
+	})
 }
 
 // TestCloseDrainConcurrent closes while producers and blocking
 // consumers are live: every successfully enqueued value must be
 // delivered exactly once before consumers see ErrClosed.
 func TestCloseDrainConcurrent(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		const producers, consumers = 3, 3
-		q := New[int64](producers+consumers, WithShards(shards))
+	const producers, consumers = 3, 3
+	for _, tc := range []struct {
+		name string
+		new  func() *Queue[int64]
+	}{
+		{"New", func() *Queue[int64] { return New[int64](producers + consumers) }},
+		{"New+WithShards(4)", func() *Queue[int64] { return New[int64](producers+consumers, WithShards(4)) }},
+		{"New+WithRing(0)", func() *Queue[int64] { return New[int64](producers+consumers, WithRing(0)) }},
+		{"NewHP", func() *Queue[int64] { return NewHP[int64](producers+consumers, 0) }},
+	} {
+		q := tc.new()
 		var next atomic.Int64
 		var accepted, delivered atomic.Int64
 		var seen sync.Map
@@ -271,10 +326,10 @@ func TestCloseDrainConcurrent(t *testing.T) {
 		select {
 		case <-done:
 		case <-time.After(30 * time.Second):
-			t.Fatalf("shards=%d: consumers hung after close", shards)
+			t.Fatalf("%s: consumers hung after close", tc.name)
 		}
 		if accepted.Load() != delivered.Load() {
-			t.Fatalf("shards=%d: accepted %d != delivered %d", shards, accepted.Load(), delivered.Load())
+			t.Fatalf("%s: accepted %d != delivered %d", tc.name, accepted.Load(), delivered.Load())
 		}
 	}
 }

@@ -182,12 +182,10 @@ func buildFrontend(name string, nthreads int) (*frontend, error) {
 		q := sharded.New[int64](nthreads, nshards, core.WithFastPath(core.DefaultPatience))
 		return &frontend{
 			name: name, patience: core.DefaultPatience, emptyRuns: 2 * nshards,
-			classes: AllClasses,
-			enq:     func(tid int, v int64) { q.EnqueueTicket(tid, v) },
-			deq:     q.Dequeue,
-			enqBatch: func(tid int, vs []int64) {
-				q.EnqueueBatch(tid, vs)
-			},
+			classes:  AllClasses,
+			enq:      func(tid int, v int64) { q.EnqueueTicket(tid, v) },
+			deq:      q.Dequeue,
+			enqBatch: q.EnqueueBatch,
 			deqBatch: q.DequeueBatch,
 			maxPhase: q.MaxObservedPhase,
 		}, nil
@@ -219,12 +217,10 @@ func buildFrontend(name string, nthreads int) (*frontend, error) {
 		q := sharded.NewOf[int64](nthreads, shards)
 		return &frontend{
 			name: name, patience: 0, emptyRuns: 2 * nshards,
-			classes: Classes(ClassEnqCAS, ClassDeqCAS, ClassChain, ClassTicket, ClassRetry),
-			enq:     func(tid int, v int64) { q.EnqueueTicket(tid, v) },
-			deq:     q.Dequeue,
-			enqBatch: func(tid int, vs []int64) {
-				q.EnqueueBatch(tid, vs)
-			},
+			classes:  Classes(ClassEnqCAS, ClassDeqCAS, ClassChain, ClassTicket, ClassRetry),
+			enq:      func(tid int, v int64) { q.EnqueueTicket(tid, v) },
+			deq:      q.Dequeue,
+			enqBatch: q.EnqueueBatch,
 			deqBatch: q.DequeueBatch,
 			maxPhase: q.MaxObservedPhase,
 		}, nil
@@ -256,12 +252,10 @@ func buildFrontend(name string, nthreads int) (*frontend, error) {
 		q := sharded.NewOf[int64](nthreads, shards)
 		return &frontend{
 			name: name, patience: 0, emptyRuns: 2 * nshards,
-			classes: Classes(ClassEnqCAS, ClassDeqCAS, ClassChain, ClassTicket, ClassRetry, ClassHelp, ClassTree),
-			enq:     func(tid int, v int64) { q.EnqueueTicket(tid, v) },
-			deq:     q.Dequeue,
-			enqBatch: func(tid int, vs []int64) {
-				q.EnqueueBatch(tid, vs)
-			},
+			classes:  Classes(ClassEnqCAS, ClassDeqCAS, ClassChain, ClassTicket, ClassRetry, ClassHelp, ClassTree),
+			enq:      func(tid int, v int64) { q.EnqueueTicket(tid, v) },
+			deq:      q.Dequeue,
+			enqBatch: q.EnqueueBatch,
 			deqBatch: q.DequeueBatch,
 			maxPhase: q.MaxObservedPhase,
 		}, nil

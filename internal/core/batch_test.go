@@ -246,8 +246,12 @@ func TestBatchMixedStress(t *testing.T) {
 					defer wg.Done()
 					tid := nthreads + slot
 					dst := make([]int64, k)
+					// Each consumer drains exactly its quota: a batch
+					// capped only by k could overshoot it once partial
+					// batches misalign, leaving another consumer spinning
+					// on an empty queue short of its own.
 					for drained := 0; drained < batches*k; {
-						n := q.DequeueBatch(tid, dst)
+						n := q.DequeueBatch(tid, dst[:min(k, batches*k-drained)])
 						for _, v := range dst[:n] {
 							if seen[slot][v] {
 								t.Errorf("value %d dequeued twice", v)

@@ -64,10 +64,7 @@ type config struct {
 	variant     Variant
 	helpChunk   int
 	patience    int
-	shards      int
 	arenaBlock  int
-	ringSeg     int
-	ring        bool
 	arena       bool
 	helpTree    bool
 	helpTreeSet bool
@@ -104,63 +101,6 @@ func WithFastPath(patience int) Option {
 		}
 		c.patience = patience
 	}
-}
-
-// WithShards requests a sharded frontend of n independent queues in
-// front of the algorithm selected by the other options. The core Queue
-// is always a single shard: the option is consumed by the composing
-// constructors (package wfq, internal/sharded) via ShardsOf and ignored
-// by New, so a single option list can configure both layers. n <= 1
-// means unsharded.
-func WithShards(n int) Option { return func(c *config) { c.shards = n } }
-
-// ShardsOf resolves the shard count requested by opts; 0 or 1 means
-// unsharded.
-func ShardsOf(opts ...Option) int {
-	var c config
-	for _, o := range opts {
-		o(&c)
-	}
-	return c.shards
-}
-
-// WithRing requests the ring-segment storage backend (internal/ring) in
-// place of the linked-node queue: contiguous slot segments claimed by
-// fetch-and-add, segments chained only at the boundary, retired segments
-// recycled through a bounded free list. segSize is the slots-per-segment
-// count (<= 0 selects the backend's default). Like WithShards, the
-// option is consumed by the composing constructor (package wfq) via
-// RingOf and ignored by New — the core Queue is always the linked KP
-// algorithm. It composes with WithShards (ring shards behind the ticket
-// dispatcher) and is ignored by NewHP.
-func WithRing(segSize int) Option {
-	return func(c *config) {
-		c.ring = true
-		c.ringSeg = segSize
-	}
-}
-
-// RingOf resolves the ring request of opts: ok reports whether WithRing
-// was present, segSize its (possibly <= 0, meaning default) segment size.
-func RingOf(opts ...Option) (segSize int, ok bool) {
-	var c config
-	for _, o := range opts {
-		o(&c)
-	}
-	return c.ringSeg, c.ring
-}
-
-// FastPathOf resolves the fast-path request of opts: ok reports whether
-// WithFastPath selected VariantFast, patience its resolved attempt bound
-// (WithFastPath already normalizes <= 0 to DefaultPatience). Composing
-// constructors use it to translate the facade's patience to backends
-// with their own fast/slow split (the ring backend's helping protocol).
-func FastPathOf(opts ...Option) (patience int, ok bool) {
-	var c config
-	for _, o := range opts {
-		o(&c)
-	}
-	return c.patience, c.variant == VariantFast
 }
 
 // WithHelpChunk sets k, the number of state-array entries a VariantOpt1/

@@ -141,7 +141,7 @@ func ShardedRingWF() Algorithm {
 		for i := range shards {
 			shards[i] = ring.New[int64](n, 0)
 		}
-		return shardedBatch{sharded.NewOf[int64](n, shards)}
+		return sharded.NewOf[int64](n, shards)
 	}}
 }
 
@@ -163,14 +163,6 @@ func FastWFHP() Algorithm {
 	}}
 }
 
-// shardedBatch adapts the frontend's ticket-returning EnqueueBatch to
-// the plain queues.Batcher signature (the batch workload does not care
-// which tickets a batch drew). Everything else — Ticketed, DequeueBatch,
-// Metrics — is promoted from the embedded frontend unchanged.
-type shardedBatch struct{ *sharded.Queue[int64] }
-
-func (a shardedBatch) EnqueueBatch(tid int, vs []int64) { a.Queue.EnqueueBatch(tid, vs) }
-
 // shardedDefault is the shard count of the stock sharded series — the
 // issue's acceptance configuration (8 shards × 8 threads).
 const shardedDefault = 8
@@ -181,8 +173,8 @@ const shardedDefault = 8
 // single-queue series to price the helping ceiling it removes.
 func ShardedWF() Algorithm {
 	return Algorithm{Name: "sharded WF", Shards: shardedDefault, New: func(n int) queues.Queue {
-		return shardedBatch{sharded.New[int64](n, shardedDefault, core.WithFastPath(0),
-			core.WithDescriptorCache(), core.WithMetrics())}
+		return sharded.New[int64](n, shardedDefault, core.WithFastPath(0),
+			core.WithDescriptorCache(), core.WithMetrics())
 	}}
 }
 
@@ -194,7 +186,7 @@ func ShardedWFHP() Algorithm {
 		for i := range shards {
 			shards[i] = core.NewHP[int64](n, 0, 0, core.WithFastPath(0), core.WithArena(0))
 		}
-		return shardedBatch{sharded.NewOf[int64](n, shards)}
+		return sharded.NewOf[int64](n, shards)
 	}}
 }
 
@@ -214,8 +206,8 @@ func BlockingWF() Algorithm {
 // of the blocking-workload acceptance experiment.
 func BlockingShardedWF() Algorithm {
 	return Algorithm{Name: "blocking sharded WF", Shards: shardedDefault, New: func(n int) queues.Queue {
-		return shardedBatch{sharded.New[int64](n, shardedDefault, core.WithFastPath(0),
-			core.WithDescriptorCache())}
+		return sharded.New[int64](n, shardedDefault, core.WithFastPath(0),
+			core.WithDescriptorCache())
 	}}
 }
 

@@ -52,11 +52,12 @@ type Ticketed interface {
 }
 
 // Batcher is implemented by queues with first-class batch operations
-// (internal/core's chained-node EnqueueBatch and multi-claim
-// DequeueBatch, and the sharded frontend's ticket-batch forms). Drivers
-// that move elements in groups — the harness's batch workload, the
-// facade's batch API — type-assert to this interface and fall back to
-// loops of single operations when it is absent.
+// (every engine of this module — internal/core's chained-node
+// EnqueueBatch and multi-claim DequeueBatch, the ring, the sharded
+// frontend's ticket-batch forms, the public facade). Drivers that move
+// elements in groups — the harness's batch workload — type-assert to
+// this interface and fall back to loops of single operations when it is
+// absent (the baselines).
 type Batcher interface {
 	Queue
 	// EnqueueBatch inserts vs in order. On a single queue the batch

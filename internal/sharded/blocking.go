@@ -68,7 +68,7 @@ func (q *Queue[T]) TryEnqueueBatch(tid int, vs []T) (uint64, error) {
 	if !q.gate.Enter(tid) {
 		return 0, waiter.ErrClosed
 	}
-	t := q.EnqueueBatch(tid, vs)
+	t := q.EnqueueBatchTicket(tid, vs)
 	q.gate.Exit(tid)
 	q.gate.Notify(tid)
 	return t, nil

@@ -84,7 +84,7 @@ func FuzzSharded(f *testing.F) {
 					next++
 					vs[j] = next
 				}
-				first := q.EnqueueBatch(tid, vs)
+				first := q.EnqueueBatchTicket(tid, vs)
 				for j, v := range vs {
 					if want := ref.Enqueue(v); j == 0 && first != want {
 						t.Fatalf("step %d: batch first ticket %d, want %d", step, first, want)

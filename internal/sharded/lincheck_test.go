@@ -47,7 +47,7 @@ func recordShardedHistory(q *Queue[int64], threads, ops int, seed uint64) []linc
 						vs[j] = int64(tid)<<32 | int64(i)<<8 | int64(j) | 1<<62
 						toks[j] = rec.BeginEnq(tid, vs[j])
 					}
-					first := q.EnqueueBatch(tid, vs)
+					first := q.EnqueueBatchTicket(tid, vs)
 					for j := range vs {
 						rec.SetShard(toks[j], int((first+uint64(j))%nsh))
 						rec.EndEnq(toks[j])

@@ -35,11 +35,13 @@ import (
 	"wfq/internal/yield"
 )
 
-// Shard is the per-shard queue contract. Both core queue flavours
-// (*core.Queue, *core.HPQueue) satisfy it.
+// Shard is the per-shard queue contract. Every engine (*core.Queue,
+// *core.HPQueue, *ring.Queue) satisfies it, batch operations included.
 type Shard[T any] interface {
 	Enqueue(tid int, v T)
 	Dequeue(tid int) (v T, ok bool)
+	EnqueueBatch(tid int, vs []T)
+	DequeueBatch(tid int, dst []T) int
 	Len() int
 }
 
@@ -88,8 +90,7 @@ type Queue[T any] struct {
 
 // New builds a frontend of nshards uniform shards, each a core queue for
 // up to nthreads threads configured by opts (variant, fast path, metrics,
-// ...). A core.WithShards option in opts is consumed by this layer and
-// ignored by the shards themselves.
+// ...). Other engines, or a mix, go through NewOf.
 func New[T any](nthreads, nshards int, opts ...core.Option) *Queue[T] {
 	if nshards <= 0 {
 		panic("sharded: nshards must be positive")
@@ -179,23 +180,20 @@ func (q *Queue[T]) DequeueTicket(tid int) (v T, ok bool, ticket uint64) {
 	return v, ok, t
 }
 
-// Batcher is the optional chained-append contract of a shard. Both core
-// queue flavours satisfy it; a shard that does not is fed one element at
-// a time.
-type Batcher[T any] interface {
-	EnqueueBatch(tid int, vs []T)
-}
-
 // EnqueueBatch inserts vs with one ticket fetch-and-add for the whole
-// batch: the k elements take consecutive tickets t..t+k-1, so they fan
-// out round-robin across the shards exactly as k single enqueues would,
-// at one shared-counter RMW instead of k. A shard's whole ticket run
-// (every ⌈k/N⌉-th element, gathered in ticket order) is then appended as
-// ONE chained batch when the shard supports it (core.Queue.EnqueueBatch)
-// — one linearizing CAS per shard instead of one per element — so the
-// per-shard FIFO order is exactly that of k single enqueues. It returns
-// the first ticket of the batch (meaningless when vs is empty).
-func (q *Queue[T]) EnqueueBatch(tid int, vs []T) uint64 {
+// batch; see EnqueueBatchTicket.
+func (q *Queue[T]) EnqueueBatch(tid int, vs []T) { q.EnqueueBatchTicket(tid, vs) }
+
+// EnqueueBatchTicket is EnqueueBatch returning the first ticket of the
+// batch (meaningless when vs is empty). The k elements take
+// consecutive tickets t..t+k-1, so they fan out round-robin across the
+// shards exactly as k single enqueues would, at one shared-counter RMW
+// instead of k. A shard's whole ticket run (every ⌈k/N⌉-th element,
+// gathered in ticket order) is then appended as ONE batch through the
+// shard's own EnqueueBatch — one linearizing CAS per shard instead of
+// one per element on the linked engines — so the per-shard FIFO order
+// is exactly that of k single enqueues.
+func (q *Queue[T]) EnqueueBatchTicket(tid int, vs []T) uint64 {
 	k := uint64(len(vs))
 	if k == 0 {
 		return 0
@@ -205,23 +203,16 @@ func (q *Queue[T]) EnqueueBatch(tid int, vs []T) uint64 {
 	if k == 1 || nsh == 1 {
 		// Degenerate fan-out: the whole batch is one shard's run.
 		shard := t % nsh
-		if b, ok := q.shards[shard].(Batcher[T]); ok {
-			// This loop exists only to emit one dispatch point per
-			// element (chaos/choreography hooks see batches as k
-			// tickets); without a hook it would be k wasted atomic
-			// loads on the hot path, hence the Enabled guard.
-			if yield.Enabled() {
-				for range vs {
-					yield.At(yield.SHEnqTicket, tid, int(shard))
-				}
-			}
-			b.EnqueueBatch(tid, vs)
-		} else {
-			for _, v := range vs {
+		// This loop exists only to emit one dispatch point per element
+		// (chaos/choreography hooks see batches as k tickets); without
+		// a hook it would be k wasted atomic loads on the hot path,
+		// hence the Enabled guard.
+		if yield.Enabled() {
+			for range vs {
 				yield.At(yield.SHEnqTicket, tid, int(shard))
-				q.shards[shard].Enqueue(tid, v)
 			}
 		}
+		q.shards[shard].EnqueueBatch(tid, vs)
 		return t
 	}
 	// General fan-out: stride-gather each shard's ticket run. Runs are
@@ -244,13 +235,7 @@ func (q *Queue[T]) EnqueueBatch(tid int, vs []T) uint64 {
 				yield.At(yield.SHEnqTicket, tid, int(shard))
 			}
 		}
-		if b, ok := q.shards[shard].(Batcher[T]); ok {
-			b.EnqueueBatch(tid, sub)
-		} else {
-			for _, v := range sub {
-				q.shards[shard].Enqueue(tid, v)
-			}
-		}
+		q.shards[shard].EnqueueBatch(tid, sub)
 	}
 	return t
 }

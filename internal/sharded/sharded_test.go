@@ -65,10 +65,10 @@ func TestTicketBurnOnEmpty(t *testing.T) {
 // fans out exactly like k singles; DequeueBatch compacts in ticket order.
 func TestBatchTicketsAndFanout(t *testing.T) {
 	q := New[int64](2, 4)
-	if first := q.EnqueueBatch(0, []int64{0, 1, 2, 3, 4, 5}); first != 0 {
+	if first := q.EnqueueBatchTicket(0, []int64{0, 1, 2, 3, 4, 5}); first != 0 {
 		t.Fatalf("first ticket %d", first)
 	}
-	if first := q.EnqueueBatch(0, []int64{6, 7}); first != 6 {
+	if first := q.EnqueueBatchTicket(0, []int64{6, 7}); first != 6 {
 		t.Fatalf("second batch first ticket %d", first)
 	}
 	depths := q.ShardDepths()
@@ -90,7 +90,7 @@ func TestBatchTicketsAndFanout(t *testing.T) {
 	if n := q.DequeueBatch(1, dst[:5]); n != 0 {
 		t.Fatalf("empty batch got %d", n)
 	}
-	if q.EnqueueBatch(0, nil) != 0 || q.DequeueBatch(0, nil) != 0 {
+	if q.EnqueueBatchTicket(0, nil) != 0 || q.DequeueBatch(0, nil) != 0 {
 		t.Fatal("zero-length batches must be no-ops")
 	}
 }

@@ -6,7 +6,52 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"wfq/internal/ring"
+	"wfq/internal/sharded"
 )
+
+// TestFacadeRingConfig pins how New turns facade options into the ring
+// engine it builds: the segment size, and the patience WithFastPath
+// hands over (last-wins against WithVariant, as on the KP engine).
+func TestFacadeRingConfig(t *testing.T) {
+	ringOf := func(t *testing.T, q *Queue[int]) *ring.Queue[int] {
+		t.Helper()
+		r, ok := q.q.(*ring.Queue[int])
+		if !ok {
+			t.Fatalf("engine is %T, want *ring.Queue[int]", q.q)
+		}
+		return r
+	}
+	if r := ringOf(t, New[int](2, WithRing(16))); r.SegSize() != 16 {
+		t.Fatalf("WithRing(16): SegSize %d", r.SegSize())
+	}
+	for _, tc := range []struct {
+		name string
+		opts []Option
+		want int
+	}{
+		{"fastpath-then-ring", []Option{WithFastPath(3), WithRing(0)}, 3},
+		{"ring-only", []Option{WithRing(0)}, ring.DefaultPatience},
+		{"variant-after-fastpath", []Option{WithFastPath(3), WithVariant(Opt12), WithRing(0)}, ring.DefaultPatience},
+	} {
+		if p := ringOf(t, New[int](2, tc.opts...)).Patience(); p != tc.want {
+			t.Errorf("%s: Patience %d, want %d", tc.name, p, tc.want)
+		}
+	}
+
+	q := New[int](2, WithShards(4), WithRing(0), WithFastPath(3))
+	sh, ok := q.q.(*sharded.Queue[int])
+	if !ok || sh.Shards() != 4 {
+		t.Fatalf("engine %T, want 4 ring shards", q.q)
+	}
+	for i := 0; i < sh.Shards(); i++ {
+		r, ok := sh.Shard(i).(*ring.Queue[int])
+		if !ok || r.Patience() != 3 {
+			t.Fatalf("shard %d: %T, want a ring with patience 3", i, sh.Shard(i))
+		}
+	}
+}
 
 // TestFacadeRing covers the ring backend behind the public API: single
 // global FIFO, first-class batches, and composition with WithShards

@@ -56,6 +56,7 @@ package wfq
 
 import (
 	"wfq/internal/core"
+	"wfq/internal/phase"
 	"wfq/internal/ring"
 	"wfq/internal/sharded"
 	"wfq/internal/tid"
@@ -84,79 +85,133 @@ const (
 )
 
 // Option configures a queue.
-type Option = core.Option
+type Option func(*config)
 
-// Re-exported configuration options; see the internal/core documentation
-// for semantics.
-var (
-	// WithVariant selects an algorithm variant.
-	WithVariant = core.WithVariant
-	// WithHelpChunk sets how many state entries an Opt1/Opt12
-	// operation scans for helping candidates (default 1).
-	WithHelpChunk = core.WithHelpChunk
-	// WithRandomHelping switches Opt1/Opt12 helping-candidate choice
-	// from cyclic to random (probabilistic wait-freedom, §3.3).
-	WithRandomHelping = core.WithRandomHelping
-	// WithClearOnExit makes finished operations drop their node
-	// references so completed threads pin no queue memory.
-	WithClearOnExit = core.WithClearOnExit
-	// WithDescriptorCache reuses descriptor allocations whose
-	// publication CAS failed.
-	WithDescriptorCache = core.WithDescriptorCache
-	// WithPhaseProvider overrides the Opt2/Opt12 phase source.
-	WithPhaseProvider = core.WithPhaseProvider
-	// WithValidationChecks skips already-satisfied completion CASes
-	// (§3.3 performance-tuning enhancement).
-	WithValidationChecks = core.WithValidationChecks
-	// WithMetrics attaches internal event counters (help traffic, CAS
-	// failures); read them via the core Queue's Metrics method when
-	// constructing through internal/core directly.
-	WithMetrics = core.WithMetrics
-	// WithFastPath selects the Fast variant: up to patience direct
-	// lock-free attempts per operation before falling back to the
-	// wait-free helping protocol (patience <= 0 selects the default).
-	WithFastPath = core.WithFastPath
-	// WithArena block-allocates queue nodes from per-thread arena
-	// segments of blockSize nodes (<= 0 selects the default, 64), so
-	// steady-state allocations drop to roughly one per blockSize
-	// enqueues. Nodes are never reused on the GC variant, only batched;
-	// see internal/pool for the ownership rules.
-	WithArena = core.WithArena
-	// WithShards(n) puts a wait-free ticket dispatcher in front of n
-	// independent shards, each running the configured variant. Ordering
-	// weakens from one FIFO to per-shard FIFO (ticket residue classes),
-	// and Dequeue's empty result becomes per-ticket: n consecutive empty
-	// results with no active producer prove the queue empty. In exchange
-	// the hot head/tail words and the helping state-array are split n
-	// ways. See the Sharding section of README.md and ALGORITHM.md.
-	WithShards = core.WithShards
-	// WithRing(segSize) replaces the linked-node engine with the
-	// ring-segment storage backend (internal/ring): elements live in
-	// contiguous slot segments claimed by one fetch-and-add per
-	// operation, segments are chained only at the boundary, and retired
-	// segments recycle through a bounded free list — zero steady-state
-	// allocations and cache-sequential access. segSize <= 0 selects the
-	// default (1024 slots). Ordering stays a single FIFO; progress is
-	// wait-free: after a bounded number of fast-path attempts an
-	// operation publishes a helping record and peers finish it from its
-	// ticket — see ALGORITHM.md, "Wait-free ring helping". Composes
-	// with WithShards (ring shards behind the ticket dispatcher) and
-	// with WithFastPath, whose patience bounds the ring fast path too;
-	// the remaining engine options (WithVariant, WithArena, ...) do not
-	// apply to the ring engine and are ignored.
-	WithRing = core.WithRing
-)
+// config is a resolved option list: the composition New builds (engine,
+// shard count) and the options it forwards to the KP engine. variant and
+// patience mirror the engine's last-wins resolution of WithVariant and
+// WithFastPath, so the ring engine takes the same patience the KP engine
+// would.
+type config struct {
+	engine   []core.Option
+	shards   int
+	ring     bool
+	segSize  int
+	variant  Variant
+	patience int
+}
 
-// backend is the queue engine behind the public API: either a single
-// core queue or the sharded frontend.
+func configOf(opts []Option) config {
+	var c config
+	for _, o := range opts {
+		o(&c)
+	}
+	return c
+}
+
+// engineOption forwards a KP-engine option unchanged.
+func engineOption(o core.Option) Option {
+	return func(c *config) { c.engine = append(c.engine, o) }
+}
+
+// WithVariant selects an algorithm variant.
+func WithVariant(v Variant) Option {
+	return func(c *config) {
+		c.variant = v
+		c.engine = append(c.engine, core.WithVariant(v))
+	}
+}
+
+// WithHelpChunk sets how many state entries an Opt1/Opt12 operation
+// scans for helping candidates (default 1).
+func WithHelpChunk(k int) Option { return engineOption(core.WithHelpChunk(k)) }
+
+// WithRandomHelping switches Opt1/Opt12 helping-candidate choice from
+// cyclic to random (probabilistic wait-freedom, §3.3).
+func WithRandomHelping() Option { return engineOption(core.WithRandomHelping()) }
+
+// WithClearOnExit makes finished operations drop their node references
+// so completed threads pin no queue memory.
+func WithClearOnExit() Option { return engineOption(core.WithClearOnExit()) }
+
+// WithDescriptorCache reuses descriptor allocations whose publication
+// CAS failed.
+func WithDescriptorCache() Option { return engineOption(core.WithDescriptorCache()) }
+
+// WithPhaseProvider overrides the Opt2/Opt12 phase source.
+func WithPhaseProvider(p phase.Provider) Option { return engineOption(core.WithPhaseProvider(p)) }
+
+// WithValidationChecks skips already-satisfied completion CASes (§3.3
+// performance-tuning enhancement).
+func WithValidationChecks() Option { return engineOption(core.WithValidationChecks()) }
+
+// WithMetrics attaches internal event counters (help traffic, CAS
+// failures); read them via the core Queue's Metrics method when
+// constructing through internal/core directly.
+func WithMetrics() Option { return engineOption(core.WithMetrics()) }
+
+// WithFastPath selects the Fast variant: up to patience direct lock-free
+// attempts per operation before falling back to the wait-free helping
+// protocol (patience <= 0 selects the default, 8).
+// The patience goes to whichever engine New builds: the KP engine's
+// lock-free attempts, or, with WithRing, the ring's fast-path attempts
+// before it publishes a helping record. Like the engine, the last of
+// WithFastPath and WithVariant wins.
+func WithFastPath(patience int) Option {
+	return func(c *config) {
+		if patience <= 0 {
+			patience = core.DefaultPatience
+		}
+		c.variant, c.patience = Fast, patience
+		c.engine = append(c.engine, core.WithFastPath(patience))
+	}
+}
+
+// WithArena block-allocates queue nodes from per-thread arena segments
+// of blockSize nodes (<= 0 selects the default, 64), so steady-state
+// allocations drop to roughly one per blockSize enqueues. Nodes are
+// never reused on the GC variant, only batched; see internal/pool for
+// the ownership rules.
+func WithArena(blockSize int) Option { return engineOption(core.WithArena(blockSize)) }
+
+// WithShards(n) puts a wait-free ticket dispatcher in front of n
+// independent shards, each running the configured engine. Ordering
+// weakens from one FIFO to per-shard FIFO (ticket residue classes), and
+// Dequeue's empty result becomes per-ticket: n consecutive empty results
+// with no active producer prove the queue empty. In exchange the hot
+// head/tail words and the helping state-array are split n ways. n <= 1
+// means unsharded. See the Sharding section of README.md and
+// ALGORITHM.md.
+func WithShards(n int) Option { return func(c *config) { c.shards = n } }
+
+// WithRing(segSize) replaces the linked-node engine with the
+// ring-segment storage backend (internal/ring): elements live in
+// contiguous slot segments claimed by one fetch-and-add per operation,
+// segments are chained only at the boundary, and retired segments
+// recycle through a bounded free list — zero steady-state allocations
+// and cache-sequential access. segSize <= 0 selects the default (1024
+// slots). Ordering stays a single FIFO; progress is wait-free: after a
+// bounded number of fast-path attempts an operation publishes a helping
+// record and peers finish it from its ticket — see ALGORITHM.md,
+// "Wait-free ring helping". The ring's patience is WithFastPath's when
+// the Fast variant is selected, ring.DefaultPatience otherwise. Composes
+// with WithShards (ring shards behind the ticket dispatcher); the
+// remaining engine options (WithArena, WithMetrics, ...) do not apply to
+// the ring engine and are ignored.
+func WithRing(segSize int) Option {
+	return func(c *config) { c.ring, c.segSize = true, segSize }
+}
+
+// backend is the queue engine behind the public API: a KP core queue, a
+// hazard-pointer queue, a ring, or the sharded frontend over any of
+// them. Every engine has first-class batch operations.
 type backend[T any] interface {
-	Enqueue(tid int, v T)
-	Dequeue(tid int) (v T, ok bool)
-	Len() int
+	sharded.Shard[T]
 	NumThreads() int
 }
 
-// Queue is a wait-free MPMC FIFO queue of T. Create one with New.
+// Queue is a wait-free MPMC FIFO queue of T. Create one with New, or
+// with NewHP for the hazard-pointer variant.
 //
 // With WithShards(n), n > 1, the queue runs n independent shards behind
 // a wait-free ticket dispatcher; ordering is then FIFO per shard rather
@@ -164,14 +219,13 @@ type backend[T any] interface {
 // WithShards.
 type Queue[T any] struct {
 	q   backend[T]
-	sh  *sharded.Queue[T] // non-nil iff the backend is sharded
 	reg *tid.Registry
 
 	// Blocking/lifecycle plumbing (see blocking.go): the gate is the
 	// queue's waiter set + close state (the sharded frontend's own gate
 	// when sharded, so its drain mask sees the close); src is the
 	// waiter.Source view of the backend; cycle is the residue-coverage
-	// bound of the park-loop recheck (Shards() probes on a sharded
+	// bound of the park-loop recheck (the shard count on a sharded
 	// queue, 1 otherwise).
 	g     *waiter.Gate
 	src   waiter.BatchSource[T]
@@ -183,42 +237,54 @@ type Queue[T any] struct {
 // maxThreads is an upper bound, not an exact count; it also sizes the
 // Handle namespace.
 func New[T any](maxThreads int, opts ...Option) *Queue[T] {
-	all := append([]Option{WithVariant(Opt12)}, opts...)
-	q := &Queue[T]{reg: tid.NewRegistry(maxThreads)}
-	segSize, useRing := core.RingOf(all...)
-	// WithFastPath's patience carries over to the ring backend: it bounds
-	// the ring's one-FAA fast path the same way it bounds the linked
-	// engine's lock-free attempts, before the helping slow path engages.
-	var ringOpts []ring.Option
-	if p, ok := core.FastPathOf(all...); ok {
-		ringOpts = append(ringOpts, ring.WithPatience(p))
-	}
-	if n := core.ShardsOf(all...); n > 1 {
-		if useRing {
-			shards := make([]sharded.Shard[T], n)
-			for i := range shards {
-				shards[i] = ring.New[T](maxThreads, segSize, ringOpts...)
-			}
-			q.sh = sharded.NewOf[T](maxThreads, shards)
-		} else {
-			q.sh = sharded.New[T](maxThreads, n, all...)
+	c := configOf(append([]Option{WithVariant(Opt12)}, opts...))
+	engine := func() backend[T] {
+		if !c.ring {
+			return core.New[T](maxThreads, c.engine...)
 		}
-		q.q = q.sh
-		q.g = q.sh.Gate()
-		q.src = q.sh
-		q.cycle = q.sh.Shards()
-	} else if useRing {
-		q.q = ring.New[T](maxThreads, segSize, ringOpts...)
-		q.g = waiter.NewGate(maxThreads)
-		q.src = singleSource[T]{q: q.q}
-		q.cycle = 1
-	} else {
-		q.q = core.New[T](maxThreads, all...)
-		q.g = waiter.NewGate(maxThreads)
-		q.src = singleSource[T]{q: q.q}
-		q.cycle = 1
+		var ro []ring.Option
+		if c.variant == Fast {
+			ro = append(ro, ring.WithPatience(c.patience))
+		}
+		return ring.New[T](maxThreads, c.segSize, ro...)
 	}
-	return q
+	if c.shards <= 1 {
+		return newQueue(engine())
+	}
+	shards := make([]sharded.Shard[T], c.shards)
+	for i := range shards {
+		shards[i] = engine()
+	}
+	sh := sharded.NewOf[T](maxThreads, shards)
+	return &Queue[T]{
+		q:     sh,
+		reg:   tid.NewRegistry(maxThreads),
+		g:     sh.Gate(),
+		src:   sh,
+		cycle: len(shards),
+	}
+}
+
+// NewHP creates a queue for up to maxThreads threads over the
+// hazard-pointer engine (§3.4 of the paper): nodes are recycled through
+// per-thread pools instead of being left to the garbage collector,
+// demonstrating — and testing — the discipline a runtime without GC
+// would need. For ordinary Go use, prefer New. poolCap bounds each
+// thread's node free list (0 selects the default). Of the options,
+// WithFastPath and WithArena are honoured; PoolStats reads the pools.
+func NewHP[T any](maxThreads, poolCap int, opts ...Option) *Queue[T] {
+	return newQueue[T](core.NewHP[T](maxThreads, poolCap, 0, configOf(opts).engine...))
+}
+
+// newQueue wraps an unsharded engine.
+func newQueue[T any](b backend[T]) *Queue[T] {
+	return &Queue[T]{
+		q:     b,
+		reg:   tid.NewRegistry(b.NumThreads()),
+		g:     waiter.NewGate(b.NumThreads()),
+		src:   singleSource[T]{b},
+		cycle: 1,
+	}
 }
 
 // MaxThreads reports the queue's concurrency bound.
@@ -235,13 +301,18 @@ func (q *Queue[T]) MaxObservedPhase() int64 {
 	return 0
 }
 
-// Shards reports the shard count (1 when unsharded).
-func (q *Queue[T]) Shards() int {
-	if q.sh != nil {
-		return q.sh.Shards()
+// PoolStats reports the hazard-pointer engine's node reuse counters
+// (hits, allocator misses, drops); zeros on queues built by New, which
+// leave nodes to the garbage collector.
+func (q *Queue[T]) PoolStats() (hits, misses, drops int64) {
+	if p, ok := q.q.(interface{ PoolStats() (int64, int64, int64) }); ok {
+		return p.PoolStats()
 	}
-	return 1
+	return 0, 0, 0
 }
+
+// Shards reports the shard count (1 when unsharded).
+func (q *Queue[T]) Shards() int { return q.cycle }
 
 // Enqueue inserts v at the tail on behalf of thread tid. tid must be in
 // [0, MaxThreads()) and must not be used concurrently by another
@@ -260,12 +331,6 @@ func (q *Queue[T]) Enqueue(tid int, v T) {
 // ticket dispatched it to; see WithShards.
 func (q *Queue[T]) Dequeue(tid int) (v T, ok bool) { return q.q.Dequeue(tid) }
 
-// batcher is the optional first-class batch contract of a backend.
-type batcher[T any] interface {
-	EnqueueBatch(tid int, vs []T)
-	DequeueBatch(tid int, dst []T) int
-}
-
 // EnqueueBatch inserts vs in order on behalf of thread tid, atomically
 // with respect to position: unsharded, the values are pre-linked into a
 // node chain and enter the queue with ONE linearizing CAS, so they
@@ -282,21 +347,6 @@ func (q *Queue[T]) EnqueueBatch(tid int, vs []T) {
 	}
 }
 
-// enqueueBatch is the untracked batch append (see TryEnqueueBatch).
-func (q *Queue[T]) enqueueBatch(tid int, vs []T) {
-	if q.sh != nil {
-		q.sh.EnqueueBatch(tid, vs)
-		return
-	}
-	if b, ok := q.q.(batcher[T]); ok {
-		b.EnqueueBatch(tid, vs)
-		return
-	}
-	for _, v := range vs {
-		q.q.Enqueue(tid, v)
-	}
-}
-
 // DequeueBatch removes up to len(dst) elements into dst, returning how
 // many were obtained. Unsharded, it is a fast-path multi-claim plus
 // single dequeues — each removal linearizes individually, the batch form
@@ -304,30 +354,13 @@ func (q *Queue[T]) enqueueBatch(tid int, vs []T) {
 // observation. On a sharded queue the batch claims len(dst) consecutive
 // dispatch tickets with one fetch-and-add — probing len(dst) consecutive
 // shards, so a batch of Shards() slots samples every shard once.
-func (q *Queue[T]) DequeueBatch(tid int, dst []T) int {
-	if q.sh != nil {
-		return q.sh.DequeueBatch(tid, dst)
-	}
-	if b, ok := q.q.(batcher[T]); ok {
-		return b.DequeueBatch(tid, dst)
-	}
-	n := 0
-	for n < len(dst) {
-		v, ok := q.q.Dequeue(tid)
-		if !ok {
-			break
-		}
-		dst[n] = v
-		n++
-	}
-	return n
-}
+func (q *Queue[T]) DequeueBatch(tid int, dst []T) int { return q.q.DequeueBatch(tid, dst) }
 
 // ShardDepths reports a racy snapshot of each shard's element count; a
 // single-element slice when unsharded. Monitoring and tests only.
 func (q *Queue[T]) ShardDepths() []int {
-	if q.sh != nil {
-		return q.sh.ShardDepths()
+	if s, ok := q.q.(interface{ ShardDepths() []int }); ok {
+		return s.ShardDepths()
 	}
 	return []int{q.q.Len()}
 }
@@ -383,47 +416,3 @@ func (h *Handle[T]) Release() {
 	h.h.Release()
 	h.q.g.Broadcast()
 }
-
-// HPQueue is the hazard-pointer variant of the queue (§3.4 of the paper):
-// nodes are recycled through per-thread pools instead of being left to
-// the garbage collector, demonstrating — and testing — the discipline a
-// runtime without GC would need. For ordinary Go use, prefer Queue.
-type HPQueue[T any] struct {
-	q   *core.HPQueue[T]
-	reg *tid.Registry
-	g   *waiter.Gate
-	src waiter.BatchSource[T]
-}
-
-// NewHP creates a hazard-pointer-backed queue for up to maxThreads
-// threads. poolCap bounds each thread's node free list (0 selects the
-// default). Of the options, WithFastPath and WithArena are honoured.
-func NewHP[T any](maxThreads, poolCap int, opts ...Option) *HPQueue[T] {
-	q := &HPQueue[T]{
-		q:   core.NewHP[T](maxThreads, poolCap, 0, opts...),
-		reg: tid.NewRegistry(maxThreads),
-		g:   waiter.NewGate(maxThreads),
-	}
-	q.src = singleSource[T]{q: q.q}
-	return q
-}
-
-// MaxThreads reports the queue's concurrency bound.
-func (q *HPQueue[T]) MaxThreads() int { return q.q.NumThreads() }
-
-// Enqueue inserts v at the tail on behalf of thread tid.
-func (q *HPQueue[T]) Enqueue(tid int, v T) { q.q.Enqueue(tid, v) }
-
-// Dequeue removes and returns the oldest element on behalf of thread tid.
-func (q *HPQueue[T]) Dequeue(tid int) (v T, ok bool) { return q.q.Dequeue(tid) }
-
-// EnqueueBatch inserts vs in order as one chained append; see
-// Queue.EnqueueBatch for the contiguity contract.
-func (q *HPQueue[T]) EnqueueBatch(tid int, vs []T) { q.q.EnqueueBatch(tid, vs) }
-
-// DequeueBatch removes up to len(dst) elements into dst; see
-// Queue.DequeueBatch.
-func (q *HPQueue[T]) DequeueBatch(tid int, dst []T) int { return q.q.DequeueBatch(tid, dst) }
-
-// PoolStats reports node reuse counters (hits, allocator misses, drops).
-func (q *HPQueue[T]) PoolStats() (hits, misses, drops int64) { return q.q.PoolStats() }
