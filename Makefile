@@ -25,16 +25,13 @@ test:
 bench:
 	go test -run xxx -bench 'Enqueue|Dequeue|Mixed' -benchtime 10x .
 
-# Ring backend acceptance sweep: singles and k=8 batches against the
-# fast-WF engine (with and without arena), committed as
-# results/BENCH_ring.json and results/BENCH_ring_batch.json.
+# Ring backend acceptance sweep: the ring (wait-free and lock-free)
+# against the KP engines, singles and k=1/k=8 batches, committed as the
+# campaign snapshots under results/ring/ (GOMAXPROCS 2).
 bench-ring:
-	go run ./cmd/wfqbench -algs 'fast WF,fast WF (arena),ring WF' \
-		-workload pairs -threads 1,2,4,8 -iters 50000 -repeats 5 \
-		-jsonsummary results/BENCH_ring.json
-	go run ./cmd/wfqbench -algs 'fast WF,fast WF (arena),ring WF' \
-		-workload batchpairs -batch 1,8 -threads 1,2,4,8 -iters 50000 -repeats 5 \
-		-jsonsummary results/BENCH_ring_batch.json
+	go run ./cmd/wfqcampaign -variants 'LF,opt WF (1+2),fast WF,fast WF (arena),ring LF,ring WF' \
+		-workloads pairs,batchpairs -batch 1,8 -threads 1,2,4,8 -procs 2 \
+		-iters 50000 -repeats 5 -nocharts -out results/ring
 
 # Scaling observatory: the full benchmark campaign matrix
 # (threads × GOMAXPROCS × variants × workloads), regenerating the

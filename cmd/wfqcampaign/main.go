@@ -8,7 +8,8 @@
 //
 //	wfqcampaign [-out DIR] [matrix flags]
 //	    Run the matrix and write BENCH_campaign_<workload>_g<P>.json
-//	    snapshots and CAMPAIGN_*.svg charts into DIR (default results).
+//	    snapshots (BENCH_campaign_<workload>_k<K>_g<P>.json per explicit
+//	    batch width) and CAMPAIGN_*.svg charts into DIR (default results).
 //
 //	wfqcampaign -quick [-out DIR]
 //	    Tiny smoke matrix (2 variants × pairs × threads {1,2} ×
@@ -30,9 +31,11 @@
 //
 // The matrix flags: -variants (harness algorithm names), -workloads
 // (pairs, fifty, batchpairs, batchenq), -threads, -procs (GOMAXPROCS
-// values), -iters, -repeats, -profile, -batch. Cells with
-// threads > GOMAXPROCS are stamped oversubscribed and warned about: they
-// measure scheduler multiplexing, not parallelism.
+// values), -iters, -repeats, -profile, -batch (a comma list of batch
+// widths; each width of a batch workload gets its own documents). An
+// unknown variant or profile name fails with the list of valid names.
+// Cells with threads > GOMAXPROCS are stamped oversubscribed and warned
+// about: they measure scheduler multiplexing, not parallelism.
 package main
 
 import (
@@ -56,7 +59,7 @@ func main() {
 		iters     = flag.Int("iters", 20000, "per-thread iteration budget (elements on batch workloads)")
 		repeats   = flag.Int("repeats", 3, "measured runs per cell")
 		profile   = flag.String("profile", "default", "base scheduler profile: default, preempt or oversub")
-		batch     = flag.Int("batch", 0, "batch width for the batch workloads (0 = default 8)")
+		batch     = flag.String("batch", "", "comma-separated batch widths for the batch workloads (empty = default 8)")
 		quick     = flag.Bool("quick", false, "tiny smoke matrix (overrides the matrix flags)")
 		nocharts  = flag.Bool("nocharts", false, "skip SVG chart generation")
 
@@ -166,7 +169,7 @@ func main() {
 			Iters:     *iters,
 			Repeats:   *repeats,
 			Profile:   *profile,
-			BatchK:    *batch,
+			BatchKs:   mustInts(*batch),
 			Logf:      logf,
 		}
 		if *quick {

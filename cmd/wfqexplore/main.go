@@ -25,7 +25,7 @@ import (
 )
 
 func main() {
-	algName := flag.String("alg", "base WF", "queue algorithm (see wfqbench -list)")
+	algName := flag.String("alg", "base WF", "queue algorithm (a harness name, as in wfqcampaign -variants)")
 	progsFlag := flag.String("progs", "e1;d", "program: threads ';'-separated, ops ','-separated, op = eN | d")
 	initFlag := flag.String("initial", "", "initial queue contents, comma-separated")
 	maxRuns := flag.Int("max", 20000, "interleaving budget")

@@ -22,40 +22,17 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
 	"path/filepath"
-	"runtime"
-	"strings"
 	"time"
 
+	"wfq/internal/campaign"
 	"wfq/internal/qsvc/load"
 )
-
-// benchEnv mirrors the stamp used by every results/BENCH_*.json file.
-type benchEnv struct {
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	NumCPU     int    `json:"num_cpu"`
-	GoVersion  string `json:"go_version"`
-	GitSHA     string `json:"git_sha"`
-}
-
-func captureEnv() benchEnv {
-	env := benchEnv{
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		GoVersion:  runtime.Version(),
-		GitSHA:     "unknown",
-	}
-	if out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output(); err == nil {
-		env.GitSHA = strings.TrimSpace(string(out))
-	}
-	return env
-}
 
 // benchDoc is the schema of results/BENCH_qsvc.json.
 type benchDoc struct {
 	Series string         `json:"series"`
-	Env    benchEnv       `json:"env"`
+	Env    campaign.Env   `json:"env"`
 	Rows   []*load.Result `json:"rows"`
 }
 
@@ -223,7 +200,7 @@ func runBench(addr string, users int, dur time.Duration, jsonOut string) {
 		Think:         time.Millisecond,
 	})
 
-	writeJSON(jsonOut, &benchDoc{Series: "qsvc", Env: captureEnv(), Rows: rows})
+	writeJSON(jsonOut, &benchDoc{Series: "qsvc", Env: campaign.CaptureEnv(), Rows: rows})
 	fmt.Printf("wfqload: wrote %d rows to %s\n", len(rows), jsonOut)
 	if failed {
 		os.Exit(1)

@@ -66,8 +66,7 @@ type Spec struct {
 	Procs []int
 	// Iters is the per-thread iteration budget. On the batch workloads it
 	// counts ELEMENTS per thread (iterations scale down by the batch
-	// width), matching wfqbench, so every cell moves the same element
-	// volume.
+	// width), so every cell moves the same element volume.
 	Iters int
 	// Repeats is the number of measured runs per cell.
 	Repeats int
@@ -75,9 +74,10 @@ type Spec struct {
 	// "oversub"); empty means default. The campaign overlays its
 	// per-document GOMAXPROCS on top of it.
 	Profile string
-	// BatchK is the batch width of the batch workloads; 0 means the
-	// harness default (8).
-	BatchK int
+	// BatchKs are the batch widths of the batch workloads; each width
+	// gets its own documents. Empty means the single width 0, the
+	// harness default (8). pairs and fifty ignore the widths.
+	BatchKs []int
 	// Logf receives progress lines and oversubscription warnings; nil
 	// silences them.
 	Logf func(format string, args ...any)
@@ -132,8 +132,10 @@ func (c Cell) FastHitRatio() float64 {
 }
 
 // Doc is one snapshot document: every variant's thread sweep for one
-// (workload, GOMAXPROCS) point of the matrix. Serialized as
-// BENCH_campaign_<workload>_g<procs>.json.
+// (workload, batch width, GOMAXPROCS) point of the matrix. Serialized
+// as BENCH_campaign_<workload>_g<procs>.json, or
+// BENCH_campaign_<workload>_k<width>_g<procs>.json for an explicit
+// batch width.
 type Doc struct {
 	SchemaVersion int    `json:"schema_version"`
 	Campaign      string `json:"campaign"`
@@ -144,9 +146,20 @@ type Doc struct {
 	Profile    string `json:"profile"`
 	Iters      int    `json:"iters"`
 	Repeats    int    `json:"repeats"`
-	BatchK     int    `json:"batch_k,omitempty"`
-	Env        Env    `json:"env"`
-	Cells      []Cell `json:"cells"`
+	// BatchK is the batch width of a batch-workload document; 0 means
+	// the harness default (8) and is the only width of pairs and fifty.
+	BatchK int    `json:"batch_k,omitempty"`
+	Env    Env    `json:"env"`
+	Cells  []Cell `json:"cells"`
+}
+
+// stem names the document's (workload, batch width) series: the
+// workload alone at width 0, workload_k<width> otherwise.
+func (d *Doc) stem() string {
+	if d.BatchK == 0 {
+		return d.Workload
+	}
+	return fmt.Sprintf("%s_k%d", d.Workload, d.BatchK)
 }
 
 // SchemaVersion is the current snapshot document schema.
@@ -201,12 +214,31 @@ func (s Spec) validate() error {
 			return fmt.Errorf("campaign: bad thread count %d", n)
 		}
 	}
+	for _, k := range s.BatchKs {
+		if k < 0 {
+			return fmt.Errorf("campaign: bad batch width %d", k)
+		}
+	}
 	return nil
 }
 
-// Run executes the matrix and returns one Doc per (workload, procs)
-// point, cells ordered variant-major then by thread count. Documents are
-// ordered workload-major, then by ascending GOMAXPROCS.
+// isBatch reports whether w moves elements in batches of Config.BatchK.
+func isBatch(w harness.Workload) bool {
+	return w == harness.BatchPairs || w == harness.BatchEnq
+}
+
+// batchWidth resolves width 0 to the harness default.
+func batchWidth(k int) int {
+	if k == 0 {
+		return 8
+	}
+	return k
+}
+
+// Run executes the matrix and returns one Doc per (workload, batch
+// width, procs) point, cells ordered variant-major then by thread
+// count. Documents are ordered workload-major, then by width in Spec
+// order, then by ascending GOMAXPROCS.
 func Run(spec Spec) ([]*Doc, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
@@ -215,7 +247,11 @@ func Run(spec Spec) ([]*Doc, error) {
 	for _, name := range spec.Variants {
 		a, ok := harness.ByName(name)
 		if !ok {
-			return nil, fmt.Errorf("campaign: unknown variant %q", name)
+			var names []string
+			for _, a := range harness.AllAlgorithms() {
+				names = append(names, a.Name)
+			}
+			return nil, fmt.Errorf("campaign: unknown variant %q (valid: %s)", name, strings.Join(names, ", "))
 		}
 		algs = append(algs, a)
 	}
@@ -225,7 +261,15 @@ func Run(spec Spec) ([]*Doc, error) {
 	}
 	baseProf, ok := harness.ProfileByName(profName)
 	if !ok {
-		return nil, fmt.Errorf("campaign: unknown profile %q", profName)
+		var names []string
+		for _, p := range harness.Profiles() {
+			names = append(names, p.Name)
+		}
+		return nil, fmt.Errorf("campaign: unknown profile %q (valid: %s)", profName, strings.Join(names, ", "))
+	}
+	shardsByAlg := map[string]int{}
+	for _, a := range algs {
+		shardsByAlg[a.Name] = a.Shards
 	}
 	env := CaptureEnv()
 	procs := append([]int(nil), spec.Procs...)
@@ -237,53 +281,50 @@ func Run(spec Spec) ([]*Doc, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Element-normalized iteration budget on the batch workloads,
-		// exactly as wfqbench scales them.
-		iters := spec.Iters
-		if w == harness.BatchPairs || w == harness.BatchEnq {
-			k := spec.BatchK
-			if k == 0 {
-				k = 8
-			}
-			if iters = spec.Iters / k; iters == 0 {
-				iters = 1
-			}
+		widths := []int{0}
+		if isBatch(w) && len(spec.BatchKs) > 0 {
+			widths = spec.BatchKs
 		}
-		for _, p := range procs {
-			prof := baseProf
-			prof.GOMAXPROCS = p
-			spec.logf("campaign: measuring %s g%d (%d variants × %d thread counts × %d repeats)",
-				WorkloadShort(w), p, len(algs), len(spec.Threads), spec.Repeats)
-			pts, err := harness.Sweep(algs, spec.Threads, harness.Config{
-				Workload: w, Iters: iters, Seed: 1, Profile: prof, BatchK: spec.BatchK,
-			}, spec.Repeats)
-			if err != nil {
-				return nil, fmt.Errorf("campaign: %s g%d: %w", WorkloadShort(w), p, err)
-			}
-			doc := &Doc{
-				SchemaVersion: SchemaVersion,
-				Campaign:      fmt.Sprintf("%s_g%d", WorkloadShort(w), p),
-				Workload:      WorkloadShort(w),
-				GOMAXPROCS:    p,
-				Profile:       profName,
-				Iters:         iters,
-				Repeats:       spec.Repeats,
-				BatchK:        spec.BatchK,
-				Env:           env,
-			}
-			shardsByAlg := map[string]int{}
-			for _, a := range algs {
-				shardsByAlg[a.Name] = a.Shards
-			}
-			for _, pt := range pts {
-				c := cellFromPoint(pt, WorkloadShort(w), shardsByAlg[pt.Algorithm])
-				if c.Oversubscribed {
-					spec.logf("campaign: WARNING: cell [%s %s threads=%d gomaxprocs=%d] is oversubscribed: it measures scheduler multiplexing, not parallelism",
-						c.Series, c.Workload, c.Threads, c.GOMAXPROCS)
+		for _, k := range widths {
+			// Element-normalized iteration budget on the batch workloads.
+			iters := spec.Iters
+			if isBatch(w) {
+				if iters = spec.Iters / batchWidth(k); iters == 0 {
+					iters = 1
 				}
-				doc.Cells = append(doc.Cells, c)
 			}
-			docs = append(docs, doc)
+			for _, p := range procs {
+				doc := &Doc{
+					SchemaVersion: SchemaVersion,
+					Workload:      WorkloadShort(w),
+					GOMAXPROCS:    p,
+					Profile:       profName,
+					Iters:         iters,
+					Repeats:       spec.Repeats,
+					BatchK:        k,
+					Env:           env,
+				}
+				doc.Campaign = fmt.Sprintf("%s_g%d", doc.stem(), p)
+				prof := baseProf
+				prof.GOMAXPROCS = p
+				spec.logf("campaign: measuring %s (%d variants × %d thread counts × %d repeats)",
+					doc.Campaign, len(algs), len(spec.Threads), spec.Repeats)
+				pts, err := harness.Sweep(algs, spec.Threads, harness.Config{
+					Workload: w, Iters: iters, Seed: 1, Profile: prof, BatchK: k,
+				}, spec.Repeats)
+				if err != nil {
+					return nil, fmt.Errorf("campaign: %s: %w", doc.Campaign, err)
+				}
+				for _, pt := range pts {
+					c := cellFromPoint(pt, doc.Workload, shardsByAlg[pt.Algorithm])
+					if c.Oversubscribed {
+						spec.logf("campaign: WARNING: cell [%s %s threads=%d gomaxprocs=%d] is oversubscribed: it measures scheduler multiplexing, not parallelism",
+							c.Series, c.Workload, c.Threads, c.GOMAXPROCS)
+					}
+					doc.Cells = append(doc.Cells, c)
+				}
+				docs = append(docs, doc)
+			}
 		}
 	}
 	return docs, nil

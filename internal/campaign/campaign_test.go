@@ -105,7 +105,8 @@ func TestLiveTinyMatrix(t *testing.T) {
 
 // TestBatchItersNormalization pins the element-normalized budget: on the
 // batch workloads Iters counts elements, so iterations scale down by the
-// batch width (matching wfqbench) and every cell moves the same volume.
+// batch width and every cell moves the same volume. Each width gets its
+// own document.
 func TestBatchItersNormalization(t *testing.T) {
 	docs, err := Run(Spec{
 		Variants:  []string{"fast WF"},
@@ -114,15 +115,28 @@ func TestBatchItersNormalization(t *testing.T) {
 		Procs:     []int{1},
 		Iters:     64,
 		Repeats:   1,
-		BatchK:    8,
+		BatchKs:   []int{1, 8},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := docs[0].Cells[0]
-	if c.Iters != 8 || c.OpsPerIter != 16 {
-		t.Fatalf("want iters=8 ops_per_iter=16 (64 elements / k=8, 2k ops per iter), got iters=%d ops_per_iter=%d",
-			c.Iters, c.OpsPerIter)
+	if len(docs) != 2 {
+		t.Fatalf("want one doc per width, got %d", len(docs))
+	}
+	if a, b := SnapshotName(docs[0]), SnapshotName(docs[1]); a == b {
+		t.Fatalf("both widths serialize to %s", a)
+	}
+	for i, want := range []struct{ k, iters int }{{1, 64}, {8, 8}} {
+		d := docs[i]
+		if d.BatchK != want.k || d.Iters != want.iters {
+			t.Fatalf("doc %d: want batch_k=%d iters=%d, got batch_k=%d iters=%d",
+				i, want.k, want.iters, d.BatchK, d.Iters)
+		}
+		c := d.Cells[0]
+		if c.Iters != want.iters || c.OpsPerIter != 2*want.k {
+			t.Fatalf("doc %d: want cell iters=%d ops_per_iter=%d (64 elements / k=%d, 2k ops per iter), got iters=%d ops_per_iter=%d",
+				i, want.iters, 2*want.k, want.k, c.Iters, c.OpsPerIter)
+		}
 	}
 }
 
@@ -132,11 +146,12 @@ func TestBatchItersNormalization(t *testing.T) {
 func TestRemeasureMatchesBaselineKeys(t *testing.T) {
 	base, err := Run(Spec{
 		Variants:  []string{"fast WF", "ring WF"},
-		Workloads: []string{"pairs"},
+		Workloads: []string{"pairs", "batchpairs"},
 		Threads:   []int{1, 2},
 		Procs:     []int{1},
 		Iters:     300,
 		Repeats:   1,
+		BatchKs:   []int{4},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -145,11 +160,17 @@ func TestRemeasureMatchesBaselineKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	for i, d := range cand {
+		if d.BatchK != base[i].BatchK || d.Iters != 100 {
+			t.Fatalf("%s re-measured at batch_k=%d iters=%d, want batch_k=%d iters=100",
+				SnapshotName(base[i]), d.BatchK, d.Iters, base[i].BatchK)
+		}
+	}
 	rep, err := Compare(base, cand, GateOptions{Tolerance: 0.99})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Compared != 4 || len(rep.MissingInCandidate) != 0 {
+	if rep.Compared != 8 || len(rep.MissingInCandidate) != 0 {
 		t.Fatalf("re-measurement lost cells: compared=%d missing=%v",
 			rep.Compared, rep.MissingInCandidate)
 	}
@@ -164,6 +185,13 @@ func TestRunRejectsUnknownInputs(t *testing.T) {
 	bad.Variants = []string{"no such queue"}
 	if _, err := Run(bad); err == nil || !strings.Contains(err.Error(), "no such queue") {
 		t.Errorf("unknown variant not rejected by name: %v", err)
+	} else if !strings.Contains(err.Error(), "ring WF") {
+		t.Errorf("unknown-variant error does not list the valid names: %v", err)
+	}
+	bad = base
+	bad.Profile = "no such profile"
+	if _, err := Run(bad); err == nil || !strings.Contains(err.Error(), "preempt") {
+		t.Errorf("unknown-profile error does not list the valid names: %v", err)
 	}
 	bad = base
 	bad.Workloads = []string{"nope"}

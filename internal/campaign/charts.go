@@ -13,7 +13,8 @@ import (
 const ChartPrefix = "CAMPAIGN_"
 
 // Charts renders the SVG scaling charts for a campaign's documents and
-// returns them keyed by filename. Per workload it emits:
+// returns them keyed by filename. Per workload (<wl> is
+// <workload>_k<width> for an explicit batch width) it emits:
 //
 //   - CAMPAIGN_<wl>_g<P>_ops.svg     — median ops/sec vs threads, one
 //     chart per GOMAXPROCS value, one line per variant;
@@ -30,10 +31,11 @@ func Charts(docs []*Doc) map[string]string {
 	byWorkload := map[string][]*Doc{}
 	var wls []string
 	for _, d := range docs {
-		if len(byWorkload[d.Workload]) == 0 {
-			wls = append(wls, d.Workload)
+		wl := d.stem()
+		if len(byWorkload[wl]) == 0 {
+			wls = append(wls, wl)
 		}
-		byWorkload[d.Workload] = append(byWorkload[d.Workload], d)
+		byWorkload[wl] = append(byWorkload[wl], d)
 	}
 	sort.Strings(wls)
 	for _, wl := range wls {

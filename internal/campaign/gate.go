@@ -7,18 +7,29 @@ import (
 )
 
 // CellKey identifies a matrix cell across snapshot generations. Cells
-// are matched by requested GOMAXPROCS (the document's), so a baseline
-// produced on a narrower machine still matches by configuration.
+// are matched by requested GOMAXPROCS and batch width (the document's),
+// so a baseline produced on a narrower machine still matches by
+// configuration, and a k=1 cell never matches a k=8 one.
 type CellKey struct {
 	Series     string
 	Workload   string
+	BatchK     int
 	Threads    int
 	GOMAXPROCS int
 }
 
+// keyOf is the key of cell c of document d.
+func keyOf(d *Doc, c Cell) CellKey {
+	return CellKey{c.Series, c.Workload, d.BatchK, c.Threads, d.GOMAXPROCS}
+}
+
 func (k CellKey) String() string {
+	wl := k.Workload
+	if k.BatchK != 0 {
+		wl = fmt.Sprintf("%s batch_k=%d", wl, k.BatchK)
+	}
 	return fmt.Sprintf("[series=%q workload=%s threads=%d gomaxprocs=%d]",
-		k.Series, k.Workload, k.Threads, k.GOMAXPROCS)
+		k.Series, wl, k.Threads, k.GOMAXPROCS)
 }
 
 // GateOptions configures a comparison run.
@@ -108,7 +119,7 @@ func Compare(baseline, candidate []*Doc, o GateOptions) (*GateReport, error) {
 		m := map[CellKey]Cell{}
 		for _, d := range docs {
 			for _, c := range d.Cells {
-				m[CellKey{c.Series, c.Workload, c.Threads, d.GOMAXPROCS}] = c
+				m[keyOf(d, c)] = c
 			}
 		}
 		return m
@@ -231,7 +242,7 @@ func FilterCells(docs []*Doc, keep func(CellKey) bool) []*Doc {
 		nd := *d
 		nd.Cells = nil
 		for _, c := range d.Cells {
-			if keep(CellKey{c.Series, c.Workload, c.Threads, d.GOMAXPROCS}) {
+			if keep(keyOf(d, c)) {
 				nd.Cells = append(nd.Cells, c)
 			}
 		}
@@ -260,11 +271,7 @@ func Remeasure(baseline []*Doc, itersOverride, repeatsOverride int, logf func(st
 		// back on the same per-cell iteration count.
 		specIters := iters
 		if d.Workload == "batchpairs" || d.Workload == "batchenq" {
-			k := d.BatchK
-			if k == 0 {
-				k = 8
-			}
-			specIters = iters * k
+			specIters = iters * batchWidth(d.BatchK)
 		}
 		repeats := d.Repeats
 		if repeatsOverride > 0 {
@@ -286,7 +293,7 @@ func Remeasure(baseline []*Doc, itersOverride, repeatsOverride int, logf func(st
 			Iters:     specIters,
 			Repeats:   repeats,
 			Profile:   d.Profile,
-			BatchK:    d.BatchK,
+			BatchKs:   []int{d.BatchK},
 			Logf:      logf,
 		})
 		if err != nil {

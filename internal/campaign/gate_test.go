@@ -114,23 +114,35 @@ func TestGateMinMetric(t *testing.T) {
 	}
 }
 
+// TestGateVacuousComparisonFails: cells of another workload, or of
+// another batch width (k=1 baseline, k=8 candidate), never match, and a
+// comparison that matches nothing fails.
 func TestGateVacuousComparisonFails(t *testing.T) {
-	base := []*Doc{golden(t)}
-	other := golden(t)
-	other.Workload = "fifty"
-	for i := range other.Cells {
-		other.Cells[i].Workload = "fifty"
+	otherWorkload := golden(t)
+	otherWorkload.Workload = "fifty"
+	for i := range otherWorkload.Cells {
+		otherWorkload.Cells[i].Workload = "fifty"
 	}
-	rep, err := Compare(base, []*Doc{other}, GateOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Compared != 0 || !rep.Failed() {
-		t.Fatalf("a comparison matching zero cells must fail, got compared=%d failed=%v",
-			rep.Compared, rep.Failed())
-	}
-	if len(rep.MissingInCandidate) == 0 || len(rep.MissingInBaseline) == 0 {
-		t.Fatal("unmatched cells not reported")
+	k1, k8 := golden(t), golden(t)
+	k1.BatchK, k8.BatchK = 1, 8
+	for _, tc := range []struct {
+		name       string
+		base, cand *Doc
+	}{
+		{"workload", golden(t), otherWorkload},
+		{"batch width", k1, k8},
+	} {
+		rep, err := Compare([]*Doc{tc.base}, []*Doc{tc.cand}, GateOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Compared != 0 || !rep.Failed() {
+			t.Fatalf("%s: a comparison matching zero cells must fail, got compared=%d failed=%v",
+				tc.name, rep.Compared, rep.Failed())
+		}
+		if len(rep.MissingInCandidate) == 0 || len(rep.MissingInBaseline) == 0 {
+			t.Fatalf("%s: unmatched cells not reported", tc.name)
+		}
 	}
 }
 

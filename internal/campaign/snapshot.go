@@ -9,12 +9,12 @@ import (
 )
 
 // SnapshotPrefix names campaign snapshot files: one
-// BENCH_campaign_<workload>_g<procs>.json per document.
+// BENCH_campaign_<workload>[_k<width>]_g<procs>.json per document.
 const SnapshotPrefix = "BENCH_campaign_"
 
 // SnapshotName returns the filename a document serializes to.
 func SnapshotName(d *Doc) string {
-	return fmt.Sprintf("%s%s_g%d.json", SnapshotPrefix, d.Workload, d.GOMAXPROCS)
+	return fmt.Sprintf("%s%s_g%d.json", SnapshotPrefix, d.stem(), d.GOMAXPROCS)
 }
 
 // WriteSnapshots writes one JSON snapshot per document into dir,

@@ -102,7 +102,7 @@ func FastWF() Algorithm {
 // FastWFArena is fast WF backed by the arena node allocator: slow-path
 // (and batch-chain) nodes come from per-thread bump-allocated blocks
 // instead of individual makes. The allocs/op delta against FastWF is the
-// arena's whole value proposition; see results/BENCH_batch.json.
+// arena's whole value proposition; see results/batch/.
 func FastWFArena() Algorithm {
 	return Algorithm{Name: "fast WF (arena)", New: func(n int) queues.Queue {
 		return core.New[int64](n, core.WithFastPath(0), core.WithArena(0),

@@ -382,7 +382,11 @@ func (s *Session[T]) DequeueCtx(ctx context.Context) (T, error) {
 // and the element becomes a tombstone for some future dequeue to
 // discard. Heap entries whose request already completed are collected
 // lazily on their way past the top.
-func (q *Queue[T]) sweep(now int64) (expired int) {
+//
+// swept, when non-nil, is bumped with q's own counters between the CAS
+// and the producer's wake-up, so a producer that observes its deadline
+// error also observes the expiry counted.
+func (q *Queue[T]) sweep(now int64, swept *atomic.Int64) (expired int) {
 	q.dl.mu.Lock()
 	defer q.dl.mu.Unlock()
 	for len(q.dl.h) > 0 {
@@ -395,11 +399,15 @@ func (q *Queue[T]) sweep(now int64) (expired int) {
 			return expired
 		}
 		r := q.dl.popLocked()
-		if r.complete(stExpired, fmt.Errorf("request on %q: %w", q.name, wfq.ErrDeadlineExceeded)) {
+		if r.state.CompareAndSwap(stPending, stExpired) {
 			q.expired.Add(1)
 			q.inflight.Add(-1)
 			q.depth.Add(-1)
+			if swept != nil {
+				swept.Add(1)
+			}
 			expired++
+			r.finish(fmt.Errorf("request on %q: %w", q.name, wfq.ErrDeadlineExceeded))
 		}
 	}
 	return expired
@@ -408,7 +416,7 @@ func (q *Queue[T]) sweep(now int64) (expired int) {
 // Sweep runs one timeout sweep against the given wall-clock time and
 // reports how many requests it expired. Registry.Tick calls it for
 // every registered queue; tests and embedders may drive it directly.
-func (q *Queue[T]) Sweep(now time.Time) int { return q.sweep(now.UnixNano()) }
+func (q *Queue[T]) Sweep(now time.Time) int { return q.sweep(now.UnixNano(), nil) }
 
 // ArmedPending reports the deadline heap's current size (armed requests
 // plus lazily-collectable completed entries); diagnostics only.

@@ -3,6 +3,7 @@ package qsvc
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -20,6 +21,9 @@ type Registry[T any] struct {
 	mu  sync.RWMutex
 	qs  map[string]*Queue[T]
 	gen uint64
+	// swept totals Tick's expiries over the registry's lifetime,
+	// deleted queues included.
+	swept atomic.Int64
 }
 
 // NewRegistry builds an empty registry.
@@ -112,10 +116,14 @@ func (r *Registry[T]) Tick(now time.Time) int {
 	ns := now.UnixNano()
 	expired := 0
 	for _, q := range r.snapshot() {
-		expired += q.sweep(ns)
+		expired += q.sweep(ns, &r.swept)
 	}
 	return expired
 }
+
+// Swept reports the total number of requests Tick has expired. Each
+// expiry is counted before its producer is woken.
+func (r *Registry[T]) Swept() int64 { return r.swept.Load() }
 
 // Stats snapshots every registered queue, ordered by name.
 func (r *Registry[T]) Stats() []Stats {

@@ -64,9 +64,16 @@ func (r *Req) complete(to int32, err error) bool {
 	if !r.state.CompareAndSwap(stPending, to) {
 		return false
 	}
+	r.finish(err)
+	return true
+}
+
+// finish records err and closes Done. The caller has won the state CAS;
+// anything it must publish before the producer wakes (the sweep's
+// counters) goes between the CAS and finish.
+func (r *Req) finish(err error) {
 	r.err = err
 	close(r.done)
-	return true
 }
 
 // dlHeap is the per-queue deadline min-heap the timeout sweep pops.

@@ -19,7 +19,6 @@ import (
 	"errors"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"wfq"
@@ -56,7 +55,6 @@ type Server struct {
 
 	sweepDone chan struct{}
 	wg        sync.WaitGroup
-	swept     atomic.Int64
 }
 
 // New builds a server around a fresh registry.
@@ -79,8 +77,9 @@ func New(opts Options) *Server {
 func (s *Server) Registry() *qsvc.Registry[[]byte] { return s.reg }
 
 // Swept reports the total number of requests the sweep ticker has
-// expired since the server started.
-func (s *Server) Swept() int64 { return s.swept.Load() }
+// expired since the server started. An expiry is counted before its
+// producer is woken, so a client that got its deadline error reads it.
+func (s *Server) Swept() int64 { return s.reg.Swept() }
 
 // Listen binds addr (host:port; ":0" picks a free port), starts the
 // accept loop and the sweep ticker, and returns the bound address.
@@ -135,7 +134,7 @@ func (s *Server) sweeper() {
 		case <-s.sweepDone:
 			return
 		case now := <-t.C:
-			s.swept.Add(int64(s.reg.Tick(now)))
+			s.reg.Tick(now)
 		}
 	}
 }

@@ -2,25 +2,46 @@ package wire
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
 
-// TestRequestRoundtrip pins encode→decode identity for every verb,
-// including boundary-length names and empty payloads.
+// requestCases cover every verb, including boundary-length names and
+// empty payloads; they also seed FuzzDecodeRequest.
+var requestCases = []Request{
+	{Verb: VCreate, Name: "orders", Backend: "ring", Shards: 4, SegSize: 1024, MaxThreads: 256, MaxDepth: 1 << 20, MaxInflight: 4096},
+	{Verb: VCreate, Name: strings.Repeat("n", 255), Backend: ""},
+	{Verb: VClose, Name: "orders"},
+	{Verb: VDelete, Name: "orders"},
+	{Verb: VStats, Name: "orders"},
+	{Verb: VEnq, Name: "q", Flags: FlagWait, DeadlineNs: 123456789, Payload: []byte("hello")},
+	{Verb: VEnq, Name: "q", Payload: nil},
+	{Verb: VDeq, Name: "q", WaitNs: -1},
+	{Verb: VDeq, Name: "q", WaitNs: 5e9},
+}
+
+var responseCases = []Response{
+	{Status: StOK, Aux: 42, Payload: []byte("payload")},
+	{Status: StEmpty},
+	{Status: StErr, Payload: []byte("boom")},
+}
+
+// garbageRequests are truncated and malformed request frames.
+var garbageRequests = [][]byte{
+	nil,
+	{},
+	{VEnq},               // no name
+	{VEnq, 5, 'a'},       // name length overruns
+	{VEnq, 1, 'q'},       // missing flags/deadline
+	{VDeq, 1, 'q', 0, 0}, // short wait
+	{VCreate, 1, 'q', 0}, // short config
+	{99, 1, 'q'},         // unknown verb
+}
+
+// TestRequestRoundtrip pins encode→decode identity for every verb.
 func TestRequestRoundtrip(t *testing.T) {
-	cases := []Request{
-		{Verb: VCreate, Name: "orders", Backend: "ring", Shards: 4, SegSize: 1024, MaxThreads: 256, MaxDepth: 1 << 20, MaxInflight: 4096},
-		{Verb: VCreate, Name: strings.Repeat("n", 255), Backend: ""},
-		{Verb: VClose, Name: "orders"},
-		{Verb: VDelete, Name: "orders"},
-		{Verb: VStats, Name: "orders"},
-		{Verb: VEnq, Name: "q", Flags: FlagWait, DeadlineNs: 123456789, Payload: []byte("hello")},
-		{Verb: VEnq, Name: "q", Payload: nil},
-		{Verb: VDeq, Name: "q", WaitNs: -1},
-		{Verb: VDeq, Name: "q", WaitNs: 5e9},
-	}
-	for _, in := range cases {
+	for _, in := range requestCases {
 		b, err := in.EncodeRequest(nil)
 		if err != nil {
 			t.Fatalf("%+v: encode: %v", in, err)
@@ -42,11 +63,7 @@ func TestRequestRoundtrip(t *testing.T) {
 
 // TestResponseRoundtrip covers the response header and payload.
 func TestResponseRoundtrip(t *testing.T) {
-	for _, in := range []Response{
-		{Status: StOK, Aux: 42, Payload: []byte("payload")},
-		{Status: StEmpty},
-		{Status: StErr, Payload: []byte("boom")},
-	} {
+	for _, in := range responseCases {
 		out, err := DecodeResponse(in.EncodeResponse(nil))
 		if err != nil {
 			t.Fatal(err)
@@ -60,17 +77,7 @@ func TestResponseRoundtrip(t *testing.T) {
 // TestDecodeRejectsGarbage: truncated and malformed frames error
 // instead of panicking or misparsing.
 func TestDecodeRejectsGarbage(t *testing.T) {
-	bad := [][]byte{
-		nil,
-		{},
-		{VEnq},               // no name
-		{VEnq, 5, 'a'},       // name length overruns
-		{VEnq, 1, 'q'},       // missing flags/deadline
-		{VDeq, 1, 'q', 0, 0}, // short wait
-		{VCreate, 1, 'q', 0}, // short config
-		{99, 1, 'q'},         // unknown verb
-	}
-	for _, b := range bad {
+	for _, b := range garbageRequests {
 		if _, err := DecodeRequest(b); err == nil {
 			t.Fatalf("DecodeRequest(%v) accepted garbage", b)
 		}
@@ -104,4 +111,58 @@ func TestFrameRoundtrip(t *testing.T) {
 	if _, err := ReadFrame(bytes.NewReader(huge)); err == nil {
 		t.Fatal("ReadFrame accepted oversized length")
 	}
+}
+
+// FuzzDecodeRequest: decoding arbitrary bytes never panics, every
+// accepted frame re-encodes, and decoding the re-encoding reproduces
+// the first decode.
+func FuzzDecodeRequest(f *testing.F) {
+	for _, in := range requestCases {
+		b, err := in.EncodeRequest(nil)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	for _, b := range garbageRequests {
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		q, err := DecodeRequest(b)
+		if err != nil {
+			return
+		}
+		enc, err := q.EncodeRequest(nil)
+		if err != nil {
+			t.Fatalf("accepted %x does not re-encode: %v", b, err)
+		}
+		back, err := DecodeRequest(enc)
+		if err != nil {
+			t.Fatalf("re-encoding %x of %x does not decode: %v", enc, b, err)
+		}
+		if !reflect.DeepEqual(back, q) {
+			t.Fatalf("decode(encode(decode(%x))):\n got %+v\nwant %+v", b, back, q)
+		}
+	})
+}
+
+// FuzzDecodeResponse is FuzzDecodeRequest's property for responses.
+func FuzzDecodeResponse(f *testing.F) {
+	for _, in := range responseCases {
+		f.Add(in.EncodeResponse(nil))
+	}
+	f.Add([]byte{StOK})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		p, err := DecodeResponse(b)
+		if err != nil {
+			return
+		}
+		back, err := DecodeResponse(p.EncodeResponse(nil))
+		if err != nil {
+			t.Fatalf("re-encoding of %x does not decode: %v", b, err)
+		}
+		if !reflect.DeepEqual(back, p) {
+			t.Fatalf("decode(encode(decode(%x))):\n got %+v\nwant %+v", b, back, p)
+		}
+	})
 }

@@ -32,6 +32,10 @@ sh scripts/serve_smoke.sh
 go test -run='^$' -fuzz='^FuzzSharded$' -fuzztime=10s ./internal/sharded/
 go test -run='^$' -fuzz='^FuzzBatchCore$' -fuzztime=10s ./internal/core/
 go test -run='^$' -fuzz='^FuzzRing$' -fuzztime=10s ./internal/ring/
+# Wire decoders: arbitrary bytes never panic, and every accepted frame
+# re-encodes to a frame that decodes the same.
+go test -run='^$' -fuzz='^FuzzDecodeRequest$' -fuzztime=10s ./internal/qsvc/wire/
+go test -run='^$' -fuzz='^FuzzDecodeResponse$' -fuzztime=10s ./internal/qsvc/wire/
 # Chaos smoke: the seeded stall-injection antagonist + wait-freedom
 # step-bound watchdog across every frontend and adversary profile,
 # under the race detector (exits nonzero on any violation, with the
@@ -54,13 +58,10 @@ go run -race ./cmd/wfqchaos -quick -scenarios core-tree,ring-tree -profiles perm
 # in results/BENCH_polylog.json, regenerated via `wfqchaos -series`).
 go test -race ./internal/helptree/
 go test -run='^$' -bench BenchmarkStepSeries -benchtime=1x ./internal/chaos/
-# Ring bench smoke: the ring backend's fast path must run, not just
-# pass tests — a one-point comparison against fast WF catches gross
-# perf regressions (committed numbers live in results/BENCH_ring.json).
-go run ./cmd/wfqbench -algs 'fast WF,ring WF' -workload pairs -threads 1 -iters 5000 -repeats 1
 # Scaling observatory: campaign smoke + perf regression gate.
 # 1. A tiny live matrix exercises the runner, per-cell GOMAXPROCS
-#    stamping, snapshot and SVG chart paths end to end.
+#    stamping, snapshot and SVG chart paths end to end (fast WF and
+#    ring WF on pairs: the ring fast path must run, not just pass tests).
 # 2. The gate must PASS on the committed baseline (loads every
 #    results/BENCH_campaign_*.json, matches all cells, zero regressions
 #    — this is also the schema-stays-parseable check).
@@ -71,6 +72,9 @@ go run ./cmd/wfqbench -algs 'fast WF,ring WF' -workload pairs -threads 1 -iters 
 camp_tmp=$(mktemp -d)
 go run ./cmd/wfqcampaign -quick -out "$camp_tmp/quick"
 go run ./cmd/wfqcampaign -gate -baseline results -candidate results
+# Every per-recipe snapshot directory (results/ring/, ...) stays
+# parseable and matches at least one cell against itself.
+for d in results/*/; do go run ./cmd/wfqcampaign -gate -baseline "$d" -candidate "$d"; done
 go run ./cmd/wfqcampaign -degrade 0.40 -baseline results -out "$camp_tmp/degraded"
 ! go run ./cmd/wfqcampaign -gate -baseline results -candidate "$camp_tmp/degraded"
 rm -rf "$camp_tmp"
