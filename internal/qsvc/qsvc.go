@@ -30,6 +30,15 @@
 // deadline-armed requests pay for a completion record and a slot in the
 // deadline heap.
 //
+// Admission stamps, deadlines and queue delays are all read on one
+// process-wide monotonic clock: nanoseconds since the package's epoch,
+// one clock read per request side. Registry.Tick and Queue.Sweep take
+// a time.Time and place it on that clock with now.Sub(epoch), which
+// uses the monotonic reading whenever now carries one (any time.Now()
+// value does), and Req.Deadline maps back with epoch.Add. A wall-clock
+// step therefore never expires a request early or late, nor skews the
+// delay histogram.
+//
 // The TCP front end lives in internal/qsvc/server (protocol in
 // internal/qsvc/wire, client in internal/qsvc/client); the load
 // generator driving it is internal/qsvc/load.
@@ -38,9 +47,20 @@ package qsvc
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"wfq"
 )
+
+// epoch is the origin of the package clock.
+var epoch = time.Now()
+
+// clock reads the package clock: monotonic nanoseconds since epoch. It
+// is cheaper than time.Now, which also reads the wall clock.
+func clock() int64 { return int64(time.Since(epoch)) }
+
+// clockAt places t on the package clock.
+func clockAt(t time.Time) int64 { return int64(t.Sub(epoch)) }
 
 // Registry errors. Queue-level conditions reuse the facade's typed
 // sentinels: wfq.ErrClosed (deleted or closed queues), wfq.ErrAdmission

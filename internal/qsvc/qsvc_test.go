@@ -157,6 +157,56 @@ func TestDeadlineSweepExpires(t *testing.T) {
 	}
 }
 
+// TestClockRoundTrip pins the package clock's conversions: an armed
+// request's Deadline lies between the enqueue's bracketing time.Now
+// readings plus the deadline, Sweep reads that Deadline back onto the
+// same clock (one nanosecond earlier expires nothing, the Deadline
+// itself expires it), and a plain pair's recorded delay is non-negative
+// and no longer than the test's own elapsed time.
+func TestClockRoundTrip(t *testing.T) {
+	r := NewRegistry[int64]()
+	q, _ := r.Create("q", Config{Backend: BackendRing})
+	s, err := q.Session()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Release()
+
+	const dl = time.Hour
+	before := time.Now()
+	req, err := s.Enqueue(1, dl)
+	after := time.Now()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := req.Deadline()
+	if d.Before(before.Add(dl)) || d.After(after.Add(dl)) {
+		t.Fatalf("deadline %v outside [%v, %v]", d, before.Add(dl), after.Add(dl))
+	}
+	if n := q.Sweep(d.Add(-time.Nanosecond)); n != 0 {
+		t.Fatalf("sweep 1ns before the deadline expired %d", n)
+	}
+	if n := q.Sweep(d); n != 1 {
+		t.Fatalf("sweep at the deadline expired %d, want 1", n)
+	}
+	if _, ok := s.TryDequeue(); ok {
+		t.Fatal("swept request was delivered")
+	}
+
+	start := time.Now()
+	if _, err := s.Enqueue(2, 0); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := s.TryDequeue(); !ok || v != 2 {
+		t.Fatalf("plain pair: got (%d,%v)", v, ok)
+	}
+	elapsed := time.Since(start)
+	ds := q.Delays()
+	if ds.Count != 1 || ds.Max < 0 || ds.Max > elapsed {
+		t.Fatalf("delay snapshot %+v, want one delay in [0, %v]", ds, elapsed)
+	}
+}
+
 // TestSweptNeverDelivered is the conservation stress: armed requests
 // race a concurrent consumer against a fast sweep ticker, and every
 // request must land in EXACTLY one of {delivered, expired} — the

@@ -16,7 +16,7 @@ import (
 // deadline-armed requests carry a completion record.
 type env[T any] struct {
 	v   T
-	enq int64 // unix nanoseconds at admission (queue-delay observability)
+	enq int64 // clock() at admission (queue-delay observability)
 	r   *Req
 }
 
@@ -282,7 +282,7 @@ func (s *Session[T]) Enqueue(v T, deadline time.Duration) (*Req, error) {
 	if err := q.admitDepth(c); err != nil {
 		return nil, err
 	}
-	now := time.Now().UnixNano()
+	now := clock()
 	if deadline <= 0 {
 		if err := s.h.TryEnqueue(env[T]{v: v, enq: now}); err != nil {
 			q.dropDepth(c)
@@ -318,7 +318,7 @@ func (s *Session[T]) Enqueue(v T, deadline time.Duration) (*Req, error) {
 // CAS, and discards tombstones of swept requests. ok=false means "this
 // envelope carried nothing — keep dequeuing".
 func (q *Queue[T]) accept(c *cell, e env[T]) (T, bool) {
-	now := time.Now().UnixNano()
+	now := clock()
 	if e.r == nil {
 		q.dropDepth(c)
 		c.delivered.Add(1)
@@ -413,10 +413,12 @@ func (q *Queue[T]) sweep(now int64, swept *atomic.Int64) (expired int) {
 	return expired
 }
 
-// Sweep runs one timeout sweep against the given wall-clock time and
-// reports how many requests it expired. Registry.Tick calls it for
-// every registered queue; tests and embedders may drive it directly.
-func (q *Queue[T]) Sweep(now time.Time) int { return q.sweep(now.UnixNano(), nil) }
+// Sweep runs one timeout sweep against the given time and reports how
+// many requests it expired. now is placed on the package clock (see
+// clockAt), so a time.Now() value compares monotonically. Registry.Tick
+// calls it for every registered queue; tests and embedders may drive it
+// directly.
+func (q *Queue[T]) Sweep(now time.Time) int { return q.sweep(clockAt(now), nil) }
 
 // ArmedPending reports the deadline heap's current size (armed requests
 // plus lazily-collectable completed entries); diagnostics only.

@@ -113,7 +113,7 @@ func (r *Registry[T]) snapshot() []*Queue[T] {
 // does, at its sweep interval); the hot paths never depend on it for
 // progress, only armed-request expiry does.
 func (r *Registry[T]) Tick(now time.Time) int {
-	ns := now.UnixNano()
+	ns := clockAt(now)
 	expired := 0
 	for _, q := range r.snapshot() {
 		expired += q.sweep(ns, &r.swept)

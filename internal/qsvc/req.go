@@ -32,7 +32,7 @@ const (
 // Requests without deadlines never materialize a Req — the no-deadline
 // path stays allocation-parity with the bare facade.
 type Req struct {
-	deadline int64 // unix nanoseconds
+	deadline int64 // clock() reading at which the request expires
 	state    atomic.Int32
 	err      error // written before done closes; read only after Done
 	done     chan struct{}
@@ -53,8 +53,9 @@ func (r *Req) Err() error {
 	}
 }
 
-// Deadline reports the request's absolute deadline.
-func (r *Req) Deadline() time.Time { return time.Unix(0, r.deadline) }
+// Deadline reports the request's absolute deadline. The result carries
+// a monotonic reading, so Sweep(r.Deadline()) expires the request.
+func (r *Req) Deadline() time.Time { return epoch.Add(time.Duration(r.deadline)) }
 
 // complete tries to move the request from pending to the terminal state
 // `to`, recording err and closing Done on success. Exactly one caller

@@ -17,8 +17,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"wfq"
@@ -53,6 +55,9 @@ type Server struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
+	// frameErrors counts connections dropped on a framing error.
+	frameErrors atomic.Int64
+
 	sweepDone chan struct{}
 	wg        sync.WaitGroup
 }
@@ -80,6 +85,11 @@ func (s *Server) Registry() *qsvc.Registry[[]byte] { return s.reg }
 // expired since the server started. An expiry is counted before its
 // producer is woken, so a client that got its deadline error reads it.
 func (s *Server) Swept() int64 { return s.reg.Swept() }
+
+// FrameErrors reports how many connections the server dropped on a
+// framing error: an oversized length prefix, or a frame cut short by
+// the peer. A clean EOF between frames or a closed conn is not one.
+func (s *Server) FrameErrors() int64 { return s.frameErrors.Load() }
 
 // Listen binds addr (host:port; ":0" picks a free port), starts the
 // accept loop and the sweep ticker, and returns the bound address.
@@ -183,7 +193,11 @@ func (s *Server) handle(c net.Conn) {
 	for {
 		body, err := wire.ReadFrame(c)
 		if err != nil {
-			return // disconnect or protocol failure: drop the conn
+			// Drop the conn; count it unless the peer simply left.
+			if errors.Is(err, wire.ErrFrameTooLarge) || errors.Is(err, io.ErrUnexpectedEOF) {
+				s.frameErrors.Add(1)
+			}
+			return
 		}
 		req, err := wire.DecodeRequest(body)
 		var resp wire.Response

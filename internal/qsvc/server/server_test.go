@@ -393,6 +393,45 @@ func TestServerWaitWithoutDeadlineRejected(t *testing.T) {
 	}
 }
 
+// TestServerCountsFrameErrors: a connection that sends an oversized
+// length prefix is dropped and counted once, a clean disconnect is not
+// counted, and other clients keep being served.
+func TestServerCountsFrameErrors(t *testing.T) {
+	s, c := startServer(t)
+	if _, err := c.Create("q", client.CreateOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	clean, err := net.Dial("tcp", s.ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean.Close()
+	raw, err := net.Dial("tcp", s.ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	if _, err := raw.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF}); err != nil {
+		t.Fatal(err)
+	}
+	// The server drops the conn: the read sees EOF (or a reset).
+	raw.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if _, err := raw.Read(make([]byte, 1)); err == nil {
+		t.Fatal("server answered an oversized frame")
+	} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatal("server kept the conn after an oversized frame")
+	}
+	if err := c.Enqueue("q", []byte("v"), 0); err != nil {
+		t.Fatalf("other client after a framing error: %v", err)
+	}
+	if v, ok, err := c.Dequeue("q", 0); err != nil || !ok || string(v) != "v" {
+		t.Fatalf("other client dequeue: %q %v %v", v, ok, err)
+	}
+	if n := s.FrameErrors(); n != 1 {
+		t.Fatalf("FrameErrors = %d, want 1", n)
+	}
+}
+
 // TestServerSessionExhaustionDetail: when a queue's session namespace is
 // exhausted, the wire error must carry the tid detail so clients can
 // tell it apart from other StErr failures.

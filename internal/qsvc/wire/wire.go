@@ -18,11 +18,21 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // MaxFrame bounds a single message (16 MiB) so a corrupt length prefix
 // cannot make a reader allocate unboundedly.
 const MaxFrame = 16 << 20
+
+// readChunk is the most ReadFrame allocates ahead of the bytes that
+// have actually arrived: a frame body is read in pieces of at most this
+// size, so a length prefix alone cannot make the reader allocate the
+// length it declares.
+const readChunk = 64 << 10
+
+// ErrFrameTooLarge reports a length prefix above MaxFrame.
+var ErrFrameTooLarge = errors.New("wire: frame exceeds max size")
 
 // Request verbs.
 const (
@@ -87,7 +97,7 @@ type Response struct {
 // WriteFrame writes one length-prefixed frame.
 func WriteFrame(w io.Writer, body []byte) error {
 	if len(body) > MaxFrame {
-		return fmt.Errorf("wire: frame of %d bytes exceeds max %d", len(body), MaxFrame)
+		return fmt.Errorf("%w: %d bytes, max %d", ErrFrameTooLarge, len(body), MaxFrame)
 	}
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
@@ -98,19 +108,32 @@ func WriteFrame(w io.Writer, body []byte) error {
 	return err
 }
 
-// ReadFrame reads one length-prefixed frame.
+// ReadFrame reads one length-prefixed frame. A body of up to readChunk
+// bytes costs one allocation; a longer one grows in readChunk pieces as
+// its bytes arrive, so a peer that declares a large frame and sends
+// less holds at most twice what it sent plus one chunk. A clean EOF
+// before the prefix returns io.EOF; a frame cut short returns
+// io.ErrUnexpectedEOF; an oversized prefix returns ErrFrameTooLarge.
 func ReadFrame(r io.Reader) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := int(binary.BigEndian.Uint32(hdr[:]))
 	if n > MaxFrame {
-		return nil, fmt.Errorf("wire: frame of %d bytes exceeds max %d", n, MaxFrame)
+		return nil, fmt.Errorf("%w: %d bytes, max %d", ErrFrameTooLarge, n, MaxFrame)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, err
+	body := make([]byte, 0, min(n, readChunk))
+	for len(body) < n {
+		m := min(n-len(body), readChunk)
+		body = slices.Grow(body, m)
+		if _, err := io.ReadFull(r, body[len(body):len(body)+m]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF // the prefix promised more
+			}
+			return nil, err
+		}
+		body = body[:len(body)+m]
 	}
 	return body, nil
 }

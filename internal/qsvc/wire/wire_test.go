@@ -2,7 +2,11 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -110,6 +114,59 @@ func TestFrameRoundtrip(t *testing.T) {
 	huge := []byte{0xFF, 0xFF, 0xFF, 0xFF}
 	if _, err := ReadFrame(bytes.NewReader(huge)); err == nil {
 		t.Fatal("ReadFrame accepted oversized length")
+	}
+}
+
+// TestReadFrameDoesNotPreallocateDeclaredLength: a length prefix alone
+// must not make the reader allocate the length it declares. A MaxFrame
+// prefix followed by EOF is a truncated frame that costs under 1 MiB.
+func TestReadFrameDoesNotPreallocateDeclaredLength(t *testing.T) {
+	var hdr [4]byte
+	binary.BigEndian.PutUint32(hdr[:], MaxFrame)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadFrame(bytes.NewReader(hdr[:]))
+	runtime.ReadMemStats(&after)
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Fatalf("a bare %d-byte prefix allocated %d bytes", MaxFrame, d)
+	}
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("truncated frame: got %v, want io.ErrUnexpectedEOF", err)
+	}
+}
+
+// TestReadFrameChunks: a body of up to one read chunk costs exactly one
+// allocation more than an empty frame (whose only cost is the prefix
+// buffer), and a body spanning several chunks, including one ending
+// mid-chunk, arrives intact.
+func TestReadFrameChunks(t *testing.T) {
+	allocs := func(size int) float64 {
+		var buf bytes.Buffer
+		if err := WriteFrame(&buf, make([]byte, size)); err != nil {
+			t.Fatal(err)
+		}
+		rd := bytes.NewReader(buf.Bytes())
+		return testing.AllocsPerRun(20, func() {
+			rd.Reset(buf.Bytes())
+			if _, err := ReadFrame(rd); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if empty, full := allocs(0), allocs(readChunk); full != empty+1 {
+		t.Fatalf("%d-byte frame: %.1f allocs, empty frame %.1f: want one more", readChunk, full, empty)
+	}
+	want := make([]byte, 3*readChunk+5)
+	for i := range want {
+		want[i] = byte(i * 31)
+	}
+	var big bytes.Buffer
+	if err := WriteFrame(&big, want); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadFrame(&big)
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("multi-chunk frame: %d bytes, err %v, equal %v", len(got), err, bytes.Equal(got, want))
 	}
 }
 

@@ -162,3 +162,57 @@ func TestAllocationPlateauTwoGoroutines(t *testing.T) {
 		t.Fatalf("%d unticketed segments dropped after warm-up: %+v", dropped, st)
 	}
 }
+
+// TestAnnouncementFollowsEntries: enter skips the announcement store
+// when the slot already names the segment, so the slot must still name
+// the segment each operation entered last — across boundary crossings
+// on both ends — and a cleared slot must be announced again by the next
+// operation. One tid drives everything, so after an enqueue the segment
+// it entered last is the tail, and after a dequeue the head.
+func TestAnnouncementFollowsEntries(t *testing.T) {
+	q := New[int64](2, 4)
+	ann := &q.ann[0].p
+	check := func(op string, i int, want *segment[int64]) {
+		t.Helper()
+		if got := ann.Load(); got != want {
+			t.Fatalf("%s %d: announcement %p, want last entered segment %p", op, i, got, want)
+		}
+	}
+	crossings := 0
+	head := q.head.Load()
+	v := int64(0)
+	for i := 0; i < 60; i++ {
+		if i%7 == 3 {
+			// A cleared slot (what a release hook would leave) must not
+			// count as already announced.
+			ann.Store(nil)
+		}
+		// Three enqueues then three dequeues: the two ends cross segment
+		// boundaries at different operations.
+		for k := 0; k < 3; k++ {
+			q.Enqueue(0, v+int64(k))
+			check("enqueue", i, q.tail.Load())
+		}
+		if i%7 == 5 {
+			ann.Store(nil)
+		}
+		for k := 0; k < 3; k++ {
+			if got, ok := q.Dequeue(0); !ok || got != v+int64(k) {
+				t.Fatalf("dequeue %d: got (%d,%v), want %d", i, got, ok, v+int64(k))
+			}
+			check("dequeue", i, q.head.Load())
+		}
+		if h := q.head.Load(); h != head {
+			crossings++
+			head = h
+		}
+		v += 3
+	}
+	if _, ok := q.Dequeue(0); ok {
+		t.Fatal("dequeue on a drained queue returned a value")
+	}
+	check("empty dequeue", 60, q.head.Load())
+	if crossings < 30 {
+		t.Fatalf("head crossed %d segment boundaries, want >= 30", crossings)
+	}
+}

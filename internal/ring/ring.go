@@ -356,10 +356,22 @@ func (q *Queue[T]) checkTid(tid int) {
 // that makes the retire-time announcement scan sound: a segment that
 // passed validation cannot have been retired before the announcement
 // became visible, so the retirer's scan saw it and refused to recycle.
+//
+// The store is skipped when the slot already names s. Only enter writes
+// an announcement (retire only reads them), so the slot has then named
+// s without a break since this thread's own earlier store, whose
+// StoreLoad fence was already paid and which precedes the re-read below
+// in the sequentially consistent order. Every retirer that scanned the
+// array since then saw s and kept it out of recycling. Writing the same
+// value again changes nothing another thread can observe; it only adds
+// a fence.
 func (q *Queue[T]) enter(tid int, root *atomic.Pointer[segment[T]]) *segment[T] {
+	a := &q.ann[tid].p
 	for {
 		s := root.Load()
-		q.ann[tid].p.Store(s)
+		if a.Load() != s {
+			a.Store(s)
+		}
 		if root.Load() == s {
 			return s
 		}
