@@ -313,46 +313,6 @@ func BenchmarkPhaseProviders(b *testing.B) {
 	})
 }
 
-// BenchmarkDescriptorCache isolates the §3.3 allocation-reuse
-// enhancement on the uncontended path.
-func BenchmarkDescriptorCache(b *testing.B) {
-	for _, on := range []bool{false, true} {
-		name := "off"
-		opts := []core.Option{core.WithVariant(core.VariantOpt12)}
-		if on {
-			name = "on"
-			opts = append(opts, core.WithDescriptorCache())
-		}
-		b.Run(name, func(b *testing.B) {
-			q := core.New[int64](8, opts...)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				q.Enqueue(0, int64(i))
-				q.Dequeue(0)
-			}
-		})
-	}
-}
-
-// BenchmarkValidationChecks prices the third §3.3 enhancement (skip
-// already-satisfied completion CASes) under contention, where redundant
-// helpers make the skipped CASes common.
-func BenchmarkValidationChecks(b *testing.B) {
-	for _, on := range []bool{false, true} {
-		name := "off"
-		alg := harness.BaseWF()
-		if on {
-			name = "on"
-			alg = harness.Algorithm{Name: "base WF+validate", New: func(n int) queues.Queue {
-				return core.New[int64](n, core.WithValidationChecks())
-			}}
-		}
-		b.Run(name, func(b *testing.B) {
-			runWorkload(b, alg, harness.Pairs, 8, harness.Profile{})
-		})
-	}
-}
-
 // BenchmarkHPOverhead compares the GC-reliant queue against the §3.4
 // hazard-pointer variant, pricing safe memory reclamation.
 func BenchmarkHPOverhead(b *testing.B) {

@@ -47,13 +47,11 @@ func ExampleQueue_Handle() {
 	// Output: 6
 }
 
-// The base variant and the §3.3 enhancements are selected with options.
+// The base variant and the §3.3 helping knobs are selected with options.
 func ExampleWithVariant() {
 	q := wfq.New[string](4,
 		wfq.WithVariant(wfq.Base),
-		wfq.WithClearOnExit(),
-		wfq.WithDescriptorCache(),
-		wfq.WithValidationChecks(),
+		wfq.WithHelpChunk(2),
 	)
 	q.Enqueue(0, "configured")
 	v, _ := q.Dequeue(1)

@@ -110,6 +110,7 @@ func Classify(p yield.Point) Class {
 		yield.MSBeforeAppend, yield.RGEnqClaim:
 		return ClassEnqCAS
 	case yield.KPBeforeEmptyCAS, yield.KPBeforeDeqTidCAS, yield.KPAfterDeqTidCAS,
+		yield.KPBeforeStage1CAS, yield.KPBeforeStateCASDeq,
 		yield.KPAfterStateCASDeq, yield.KPBeforeHeadCAS,
 		yield.KPFastBeforeDeqTidCAS, yield.KPFastAfterDeqTidCAS,
 		yield.MSBeforeHeadCAS, yield.RGDeqClaim:

@@ -14,6 +14,8 @@ func TestClassify(t *testing.T) {
 		yield.KPFastAfterAppend:    ClassEnqCAS,
 		yield.KPBeforeDeqTidCAS:    ClassDeqCAS,
 		yield.KPFastAfterDeqTidCAS: ClassDeqCAS,
+		yield.KPBeforeStage1CAS:    ClassDeqCAS,
+		yield.KPBeforeStateCASDeq:  ClassDeqCAS,
 		yield.KPChainAfterAppend:   ClassChain,
 		yield.KPChainBeforeSwing:   ClassChain,
 		yield.RGEnqClaim:           ClassEnqCAS,

@@ -125,8 +125,7 @@ type frontend struct {
 func buildFrontend(name string, nthreads int) (*frontend, error) {
 	switch name {
 	case "core-gc":
-		q := core.New[int64](nthreads,
-			core.WithVariant(core.VariantOpt12), core.WithDescriptorCache())
+		q := core.New[int64](nthreads, core.WithVariant(core.VariantOpt12))
 		return &frontend{
 			name: name, patience: 0, emptyRuns: 1,
 			classes:  Classes(ClassEnqCAS, ClassDeqCAS, ClassChain, ClassRetry),
@@ -143,8 +142,7 @@ func buildFrontend(name string, nthreads int) (*frontend, error) {
 		// freeze mid-propagation holding a stale aggregate and survivors
 		// must stay inside the polylog budget while repairing around it.
 		q := core.New[int64](nthreads,
-			core.WithVariant(core.VariantOpt12), core.WithDescriptorCache(),
-			core.WithHelpTree())
+			core.WithVariant(core.VariantOpt12), core.WithHelpTree())
 		return &frontend{
 			name: name, patience: 0, emptyRuns: 1,
 			classes:  Classes(ClassEnqCAS, ClassDeqCAS, ClassChain, ClassRetry, ClassTree),
@@ -155,8 +153,7 @@ func buildFrontend(name string, nthreads int) (*frontend, error) {
 			maxPhase: q.MaxObservedPhase,
 		}, nil
 	case "core-fast":
-		q := core.New[int64](nthreads,
-			core.WithFastPath(core.DefaultPatience), core.WithDescriptorCache())
+		q := core.New[int64](nthreads, core.WithFastPath(core.DefaultPatience))
 		return &frontend{
 			name: name, patience: core.DefaultPatience, emptyRuns: 1,
 			classes:  AllClasses,

@@ -90,7 +90,7 @@ func (q *Queue[T]) linkChain(tid int, vs []T, owner int32) (head, tail *node[T])
 	return head, tail
 }
 
-// slowEnqueueChain publishes one descriptor for the whole chain and runs
+// slowEnqueueChain publishes one record for the whole chain and runs
 // the ordinary helping protocol; the Line 74 CAS on the head linearizes
 // all k elements at once, and helpFinishEnq (the caller's, or any
 // helper's) swings tail to chainTail.
@@ -98,18 +98,18 @@ func (q *Queue[T]) slowEnqueueChain(tid int, head, chainTail *node[T]) {
 	if q.patience > 0 {
 		q.slowPending.Add(1)
 	}
+	rec := &q.state[tid]
 	ph := q.nextPhase()
-	q.state[tid].p.Store(&opDesc[T]{
-		phase: ph, pending: true, enqueue: true, node: head, chainTail: chainTail,
-	})
+	rec.chainTail.Store(chainTail)
+	rec.node.Store(head)
+	rec.publish(ph, stPendEnq)
 	q.help(tid, ph, true)
 	q.helpFinishEnq(tid)
 	if q.patience > 0 {
 		q.slowPending.Add(-1)
 	}
-	if q.clearOnExit {
-		q.clearDesc(tid, ph, true)
-	}
+	rec.node.Store(nil)
+	rec.chainTail.Store(nil)
 }
 
 // fastEnqueueChain is fastEnqueue for a chain: up to patience bounded

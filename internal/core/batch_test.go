@@ -17,13 +17,14 @@ type batchQueue interface {
 }
 
 // batchBuilders covers every configuration whose batch code paths differ:
-// slow chains (no fast path), slow chains with descriptor reuse, fast
-// chains, arena-backed nodes, and both hazard-pointer flavours.
+// slow chains (no fast path), fast chains, arena-backed nodes, and both
+// hazard-pointer flavours. "cache" once enabled descriptor reuse, which
+// the in-place operation records made moot; it builds the base queue.
 func batchBuilders(nthreads int) map[string]func() batchQueue {
 	return map[string]func() batchQueue{
 		"base":       func() batchQueue { return New[int64](nthreads) },
 		"opt12":      func() batchQueue { return New[int64](nthreads, WithVariant(VariantOpt12)) },
-		"cache":      func() batchQueue { return New[int64](nthreads, WithDescriptorCache(), WithClearOnExit()) },
+		"cache":      func() batchQueue { return New[int64](nthreads) },
 		"fast":       func() batchQueue { return New[int64](nthreads, WithFastPath(0)) },
 		"fast-p1":    func() batchQueue { return New[int64](nthreads, WithFastPath(1)) },
 		"fast-arena": func() batchQueue { return New[int64](nthreads, WithFastPath(0), WithArena(8)) },

@@ -24,7 +24,7 @@ func FuzzBatchCore(f *testing.F) {
 		const n = 3
 		qs := []batchQueue{
 			New[int64](n),
-			New[int64](n, WithVariant(VariantOpt12), WithDescriptorCache()),
+			New[int64](n, WithVariant(VariantOpt12)),
 			New[int64](n, WithFastPath(0)),
 			New[int64](n, WithFastPath(0), WithArena(4)),
 			NewHP[int64](n, 8, 2, WithFastPath(0)),

@@ -20,7 +20,10 @@
 //
 // The queue is a singly-linked list with head and tail references, as in
 // Michael–Scott, plus a state array holding one operation descriptor
-// (OpDesc) per thread. An operation first chooses a phase number larger
+// (OpDesc) per thread; Queue keeps it as a preallocated record per thread
+// whose versioned control word every state CAS targets, instead of a new
+// immutable descriptor per transition (ALGORITHM.md, "In-place operation
+// records"). An operation first chooses a phase number larger
 // than every phase chosen before it (Lamport's Bakery doorway), publishes
 // a pending descriptor, and then helps every pending operation with phase
 // ≤ its own. Each operation is split into three atomic steps — (1) a

@@ -21,23 +21,24 @@ import (
 // unconditionally — the fallback branch of Enqueue, without the fast
 // attempts — so tests can stage a slow-path operation on a fast queue.
 func slowEnqueue(q *Queue[int64], tid int, v int64) {
+	rec := &q.state[tid]
 	ph := q.nextPhase()
-	q.state[tid].p.Store(&opDesc[int64]{phase: ph, pending: true, enqueue: true, node: newNode(v, int32(tid))})
+	rec.node.Store(newNode(v, int32(tid)))
+	rec.publish(ph, stPendEnq)
 	q.help(tid, ph, true)
 	q.helpFinishEnq(tid)
+	rec.node.Store(nil)
 }
 
 // slowDequeue is the dequeue-side analogue of slowEnqueue.
 func slowDequeue(q *Queue[int64], tid int) (int64, bool) {
+	rec := &q.state[tid]
 	ph := q.nextPhase()
-	q.state[tid].p.Store(&opDesc[int64]{phase: ph, pending: true, enqueue: false})
+	rec.node.Store(q.headRef.Load())
+	rec.publish(ph, stPendDeq)
 	q.help(tid, ph, false)
 	q.helpFinishDeq(tid)
-	n := q.state[tid].p.Load().node
-	if n == nil {
-		return 0, false
-	}
-	return n.next.Load().value, true
+	return q.deqResult(rec)
 }
 
 // parkOnce installs a yield hook that parks the first arrival of thread
@@ -382,18 +383,17 @@ func TestFastSlowMixedStress(t *testing.T) {
 		tot.FastHits(), tot.FastFallbacks, 100*tot.FallbackRate())
 }
 
-// TestValidationChecksWithDescriptorCacheStress exercises the
-// WithValidationChecks × WithDescriptorCache combination under
-// contention: validation skips completion CASes (so cached descriptors
-// see more reuse on the remaining failures) on the base variant, whose
-// help-everyone traversal maximizes redundant helpers. Previously the two
-// enhancements were only stressed independently; the combination is what
-// a throughput-tuned deployment would run. The tier-1 gate runs this
-// under -race.
+// TestValidationChecksWithDescriptorCacheStress is named for the two
+// §3.3 knobs it used to combine. The in-place operation records made
+// both the only behaviour: completion CASes run only from a pending word
+// (the validation check), and nothing is allocated, so nothing is left to
+// cache. It stresses the base variant, whose help-everyone traversal
+// maximizes redundant helpers and therefore failed record CASes. The
+// tier-1 gate runs this under -race.
 func TestValidationChecksWithDescriptorCacheStress(t *testing.T) {
 	const nthreads = 8
 	perThread := stressSize(3000)
-	q := New[int64](nthreads, WithValidationChecks(), WithDescriptorCache(), WithMetrics())
+	q := New[int64](nthreads, WithMetrics())
 
 	var wg sync.WaitGroup
 	var consumed sync.Map

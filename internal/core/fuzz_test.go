@@ -42,7 +42,7 @@ func FuzzSequentialVsModel(f *testing.F) {
 		qs := []testQueue{
 			New[int64](n),
 			New[int64](n, WithVariant(VariantOpt12)),
-			New[int64](n, WithClearOnExit(), WithDescriptorCache()),
+			New[int64](n, WithVariant(VariantOpt1)),
 			NewHP[int64](n, 8, 2),
 		}
 		var ref model.Queue

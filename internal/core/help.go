@@ -32,10 +32,12 @@ func (q *Queue[T]) Enqueue(tid int, v T) {
 	if q.patience > 0 {
 		q.slowPending.Add(1)
 	}
-	ph := q.nextPhase()                                                                // Line 62
-	q.state[tid].p.Store(&opDesc[T]{phase: ph, pending: true, enqueue: true, node: n}) // Line 63
+	rec := &q.state[tid]
+	ph := q.nextPhase() // Line 62
+	rec.node.Store(n)
+	rec.publish(ph, stPendEnq) // Line 63
 	if q.tree != nil {
-		// The descriptor is published; announce (phase, tid) so helpers
+		// The record is published; announce (phase, tid) so helpers
 		// can find this op by descent instead of scanning.
 		q.tree.Announce(tid, uint64(ph))
 	}
@@ -47,9 +49,9 @@ func (q *Queue[T]) Enqueue(tid int, v T) {
 	if q.patience > 0 {
 		q.slowPending.Add(-1)
 	}
-	if q.clearOnExit {
-		q.clearDesc(tid, ph, true)
-	}
+	// The record outlives the operation: drop the node so it does not
+	// pin the list behind it once dequeued.
+	rec.node.Store(nil)
 }
 
 // Dequeue removes the oldest element on behalf of thread tid — the
@@ -69,8 +71,13 @@ func (q *Queue[T]) Dequeue(tid int) (v T, ok bool) {
 	if q.patience > 0 {
 		q.slowPending.Add(1)
 	}
-	ph := q.nextPhase()                                                        // Line 99
-	q.state[tid].p.Store(&opDesc[T]{phase: ph, pending: true, enqueue: false}) // Line 100
+	rec := &q.state[tid]
+	ph := q.nextPhase() // Line 99
+	// node starts at the current head: a value no earlier operation's
+	// stale helper can expect, so only this operation's completion can
+	// replace it (see helpFinishDeq).
+	rec.node.Store(q.headRef.Load())
+	rec.publish(ph, stPendDeq) // Line 100
 	if q.tree != nil {
 		q.tree.Announce(tid, uint64(ph))
 	}
@@ -82,18 +89,19 @@ func (q *Queue[T]) Dequeue(tid int) (v T, ok bool) {
 	if q.patience > 0 {
 		q.slowPending.Add(-1)
 	}
-	n := q.state[tid].p.Load().node // Line 103
-	if n == nil {                   // Lines 104–106: linearized on an empty queue
-		if q.clearOnExit {
-			q.clearDesc(tid, ph, false)
-		}
+	return q.deqResult(rec)
+}
+
+// deqResult reads the outcome of a completed dequeue from its record —
+// Lines 103–107 — and clears the record's node. The completion stored
+// the node after the claimed sentinel, the one holding the value.
+func (q *Queue[T]) deqResult(rec *stateRec[T]) (v T, ok bool) {
+	n := rec.node.Load() // Line 103
+	rec.node.Store(nil)
+	if rec.ctl.Load()&stMask == stDoneDeqEmpty { // Lines 104–106: linearized on an empty queue
 		return v, false
 	}
-	v = n.next.Load().value // Line 107: value of the node after the old sentinel
-	if q.clearOnExit {
-		q.clearDesc(tid, ph, false)
-	}
-	return v, true
+	return n.value, true // Line 107
 }
 
 // fastEnqueue runs up to patience Michael–Scott-style append attempts for
@@ -173,14 +181,6 @@ func (q *Queue[T]) fastDequeue(tid int) (v T, ok, done bool) {
 	return v, false, false
 }
 
-// clearDesc installs a fresh non-pending, node-free descriptor (§3.3
-// enhancement). The replaced descriptor can never be confused with this
-// one by a stale helper CAS because state CASes compare pointers and this
-// descriptor is a new allocation.
-func (q *Queue[T]) clearDesc(tid int, ph int64, enqueue bool) {
-	q.state[tid].p.Store(&opDesc[T]{phase: ph, pending: false, enqueue: enqueue})
-}
-
 // help makes the calling thread (caller, operating at phase ph) assist
 // pending operations before its own completes.
 //
@@ -198,12 +198,12 @@ func (q *Queue[T]) help(caller int, ph int64, enqueue bool) {
 		for i := range q.state { // Line 37
 			yield.At(yield.KPHelpScan, caller, i)
 			q.met.incScan(caller)
-			desc := q.state[i].p.Load() // Line 38
-			if stillPending(desc, ph) { // Line 39
+			c, pending := q.state[i].pendingAt(ph) // Lines 38–39
+			if pending {
 				if i != caller {
 					q.met.incHelp(caller)
 				}
-				if desc.enqueue {
+				if c&stMask == stPendEnq {
 					q.helpEnq(caller, i, ph) // Line 41
 				} else {
 					q.helpDeq(caller, i, ph) // Line 43
@@ -230,10 +230,9 @@ func (q *Queue[T]) help(caller int, ph int64, enqueue bool) {
 			}
 			yield.At(yield.KPHelpScan, caller, i)
 			q.met.incScan(caller)
-			desc := q.state[i].p.Load()
-			if stillPending(desc, ph) {
+			if c, pending := q.state[i].pendingAt(ph); pending {
 				q.met.incHelp(caller)
-				if desc.enqueue {
+				if c&stMask == stPendEnq {
 					q.helpEnq(caller, i, ph)
 				} else {
 					q.helpDeq(caller, i, ph)
@@ -269,10 +268,12 @@ func (q *Queue[T]) helpOldest(caller int, ph int64) {
 		if tid == caller {
 			return // own op is driven by help()'s caller
 		}
-		desc := q.state[tid].p.Load()
-		if stillPending(desc, ph) {
+		rec := &q.state[tid]
+		c := rec.ctl.Load()
+		recPh := rec.phase.Load()
+		if ctlPending(c) && recPh <= ph {
 			q.met.incHelp(caller)
-			if desc.enqueue {
+			if c&stMask == stPendEnq {
 				q.helpEnq(caller, tid, ph)
 			} else {
 				q.helpDeq(caller, tid, ph)
@@ -280,9 +281,9 @@ func (q *Queue[T]) helpOldest(caller int, ph int64) {
 			return
 		}
 		// Not helpable by us. The announcement is stale if the op it
-		// named is gone: the descriptor is non-pending, or the owner is
+		// named is gone: the record is non-pending, or the owner is
 		// already pending at a newer phase than the leaf advertises.
-		if !desc.pending || uint64(desc.phase) > helptree.Prio(w) {
+		if !ctlPending(c) || uint64(recPh) > helptree.Prio(w) {
 			q.tree.ClearStale(caller, tid, w)
 			continue
 		}
@@ -293,9 +294,10 @@ func (q *Queue[T]) helpOldest(caller int, ph int64) {
 }
 
 // helpEnq drives the pending enqueue of thread tid until it linearizes —
-// the paper's help_enq(), Lines 67–84. caller is the helping thread
-// (used only for descriptor caching); ph is the helper's phase.
+// the paper's help_enq(), Lines 67–84. caller is the helping thread; ph
+// is the helper's phase.
 func (q *Queue[T]) helpEnq(caller, tid int, ph int64) {
+	rec := &q.state[tid]
 	for {
 		yield.At(yield.KPEnqRetry, caller, tid)
 		if !q.isStillPending(tid, ph) { // Line 68
@@ -317,10 +319,14 @@ func (q *Queue[T]) helpEnq(caller, tid int, ph int64) {
 			// and re-append N after itself. Pending-after-the-
 			// last-read implies tail has not yet passed the
 			// node, which makes that self-append impossible.
-			desc := q.state[tid].p.Load()
-			if stillPending(desc, ph) { // Line 73
+			c, pending := rec.pendingAt(ph) // Line 73
+			// The node is appended, so it must be this enqueue's (a
+			// dequeue record's node is a list node): re-reading an
+			// unchanged ctl after node proves the owner had not moved
+			// on to its next operation.
+			if n := rec.node.Load(); pending && c&stMask == stPendEnq && rec.ctl.Load() == c {
 				yield.At(yield.KPBeforeAppend, caller, tid)
-				if last.next.CompareAndSwap(nil, desc.node) { // Line 74
+				if last.next.CompareAndSwap(nil, n) { // Line 74
 					yield.At(yield.KPAfterAppend, caller, tid)
 					q.helpFinishEnq(caller) // Line 75
 					return                  // Line 76
@@ -348,9 +354,10 @@ func (q *Queue[T]) helpFinishEnq(caller int) {
 		// (step 2 does not exist), so the only work is step 3, the
 		// tail fix. Skipping this branch would livelock every slow
 		// helper behind the dangling node: helpEnq retries through
-		// helpFinishEnq until tail advances. next is immutable once
-		// read from last.next (write-once), so the CAS is safe even if
-		// tail moved meanwhile — it then simply fails.
+		// helpFinishEnq until tail advances. last.next changes only
+		// from nil to a node, or to last itself once head has passed
+		// last (then tail has too), so the CAS is safe even if tail
+		// moved meanwhile — it then simply fails.
 		if q.tailRef.CompareAndSwap(last, next) {
 			q.met.incTailFix(caller)
 		}
@@ -361,38 +368,32 @@ func (q *Queue[T]) helpFinishEnq(caller int) {
 		// foreign sentinel if callers misuse multiple queues.
 		return
 	}
-	curDesc := q.state[tid].p.Load()                      // Line 90
-	if last == q.tailRef.Load() && curDesc.node == next { // Line 91
-		// §3.3 validation enhancement: skip the completion CAS when
-		// another helper already flipped the pending flag; the tail
-		// fix below must still run.
-		if !q.validate || curDesc.pending {
-			// Line 92: new descriptor with pending switched off.
-			// Reading phase from curDesc (not a fresh load) is
-			// equivalent to the paper's code: if the entry changed
-			// since Line 90, the CAS below fails and the
-			// descriptor is discarded. chainTail is preserved so a
-			// later helpFinishEnq can still swing tail past the
-			// whole chain if this helper stalls before the tail CAS.
-			newDesc := q.newDesc(caller, curDesc.phase, false, true, next, curDesc.chainTail)
-			if !q.state[tid].p.CompareAndSwap(curDesc, newDesc) { // Line 93
-				q.recycleDesc(caller, newDesc)
-				q.met.incDescFail(caller)
-			}
+	rec := &q.state[tid]
+	c := rec.ctl.Load()                                      // Line 90
+	if last == q.tailRef.Load() && rec.node.Load() == next { // Line 91
+		// Lines 92–93: switch pending off. Only a pending word is
+		// CASed (a done record needs no second completion), and a
+		// success on the exact loaded word proves the node read
+		// above belonged to this operation.
+		if c&stMask == stPendEnq && !rec.ctl.CompareAndSwap(c, ctlNext(c, stDoneEnq)) {
+			q.met.incDescFail(caller)
 		}
 		yield.At(yield.KPAfterStateCASEnq, caller, tid)
 		yield.At(yield.KPBeforeTailCAS, caller, tid)
-		// Line 94, generalized for batch enqueues: when the descriptor
+		// Line 94, generalized for batch enqueues: when the record
 		// carries a chain, tail must jump from the pre-append node to
 		// the chain's last node in one CAS — an intermediate target
-		// would strand tail mid-chain where no helper could match
-		// curDesc.node against the dangling interior node. Pointer
+		// would strand tail mid-chain where no helper could match the
+		// record's node against the dangling interior node. Pointer
 		// equality is ABA-free on this (GC) variant: nodes are never
-		// recycled, so curDesc.node == next identifies the chain whose
-		// tail curDesc.chainTail is.
+		// recycled, so node == next identifies the chain whose tail
+		// chainTail is. chainTail is read after node (the owner writes
+		// them in the other order); a mismatched pair comes only from
+		// an owner that already returned, after its own Line 65 moved
+		// tail past the chain, so the CAS below then fails.
 		target := next
-		if curDesc.chainTail != nil {
-			target = curDesc.chainTail
+		if ct := rec.chainTail.Load(); ct != nil {
+			target = ct
 		}
 		if q.tailRef.CompareAndSwap(last, target) {
 			q.met.incTailFix(caller)
@@ -403,6 +404,7 @@ func (q *Queue[T]) helpFinishEnq(caller int) {
 // helpDeq drives the pending dequeue of thread tid until it linearizes —
 // the paper's help_deq(), Lines 109–140.
 func (q *Queue[T]) helpDeq(caller, tid int, ph int64) {
+	rec := &q.state[tid]
 	for {
 		yield.At(yield.KPDeqRetry, caller, tid)
 		if !q.isStillPending(tid, ph) { // Line 110
@@ -416,14 +418,12 @@ func (q *Queue[T]) helpDeq(caller, tid int, ph int64) {
 		}
 		if first == last { // Line 115: queue might be empty
 			if next == nil { // Line 116: queue is empty
-				curDesc := q.state[tid].p.Load()                           // Line 117
-				if last == q.tailRef.Load() && stillPending(curDesc, ph) { // Line 118
+				c, pending := rec.pendingAt(ph)          // Line 117
+				if last == q.tailRef.Load() && pending { // Line 118
 					// Lines 119–120: record the empty result
-					// in the owner's descriptor.
+					// in the owner's record.
 					yield.At(yield.KPBeforeEmptyCAS, caller, tid)
-					newDesc := q.newDesc(caller, curDesc.phase, false, false, nil, nil)
-					if !q.state[tid].p.CompareAndSwap(curDesc, newDesc) {
-						q.recycleDesc(caller, newDesc)
+					if !rec.ctl.CompareAndSwap(c, ctlNext(c, stDoneDeqEmpty)) {
 						q.met.incDescFail(caller)
 					}
 				}
@@ -431,20 +431,23 @@ func (q *Queue[T]) helpDeq(caller, tid int, ph int64) {
 				q.helpFinishEnq(caller) // Line 123: help it first, then retry
 			}
 		} else { // Line 125: queue is not empty
-			curDesc := q.state[tid].p.Load() // Line 126
-			node := curDesc.node             // Line 127
-			if !stillPending(curDesc, ph) {  // Line 128
+			c, pending := rec.pendingAt(ph) // Lines 126–127
+			if !pending {                   // Line 128
 				return
 			}
-			if first == q.headRef.Load() && node != first { // Line 129
-				// Stage 1 (Lines 130–131): point the owner's
-				// descriptor at the current sentinel, so a
-				// helper seeing an empty queue and a helper
-				// seeing a non-empty queue cannot race on the
-				// owner's result.
-				newDesc := q.newDesc(caller, curDesc.phase, true, false, first, nil)
-				if !q.state[tid].p.CompareAndSwap(curDesc, newDesc) { // Line 131
-					q.recycleDesc(caller, newDesc)
+			// Line 129. The paper's node != first test has no
+			// counterpart (the record does not track the sentinel);
+			// a claimed first is skipped instead — its claim CAS
+			// below fails anyway, and a bump after the claim is what
+			// the Line 149 retry has to absorb.
+			if first == q.headRef.Load() && first.deqTid.Load() == noTID {
+				// Stage 1 (Lines 130–131): bump the owner's
+				// version, so a helper that saw an empty queue
+				// and loaded the record earlier fails its
+				// Line 120 CAS — the empty and non-empty
+				// observers cannot both decide the result.
+				yield.At(yield.KPBeforeStage1CAS, caller, tid)
+				if !rec.ctl.CompareAndSwap(c, ctlNext(c, stPendDeq)) { // Line 131
 					q.met.incDescFail(caller)
 					continue // Line 132
 				}
@@ -476,36 +479,75 @@ func (q *Queue[T]) helpFinishDeq(caller int) {
 		// descriptor to complete (the claimant reads its value directly
 		// from next), so the only work is step 3, the head fix. next is
 		// non-nil whenever deqTid is claimed — the claim CAS runs only
-		// after next was observed non-nil, and next is write-once.
+		// after next was observed non-nil, and next is never reset.
 		if next != nil && q.headRef.CompareAndSwap(first, next) {
 			q.met.incHeadFix(caller)
+			q.unlinkPassed(caller, first)
 		}
 		return
 	}
 	if tid < 0 || tid >= q.nthreads {
 		return
 	}
-	curDesc := q.state[tid].p.Load()              // Line 146
-	if first == q.headRef.Load() && next != nil { // Line 147
-		// §3.3 validation enhancement: skip the Line 149 CAS when
-		// the descriptor is already completed.
-		if !q.validate || curDesc.pending {
-			// Lines 148–149: complete the owner's descriptor,
-			// keeping its node reference (the old sentinel,
-			// through which the dequeuer reads its return value).
-			newDesc := q.newDesc(caller, curDesc.phase, false, false, curDesc.node, nil)
-			if !q.state[tid].p.CompareAndSwap(curDesc, newDesc) {
-				q.recycleDesc(caller, newDesc)
-				q.met.incDescFail(caller)
-			}
+	rec := &q.state[tid]
+	for {
+		c := rec.ctl.Load()                           // Line 146
+		if first != q.headRef.Load() || next == nil { // Line 147
+			return
 		}
-		yield.At(yield.KPAfterStateCASDeq, caller, tid)
-		yield.At(yield.KPBeforeHeadCAS, caller, tid)
-		if q.headRef.CompareAndSwap(first, next) { // Line 150
-			q.met.incHeadFix(caller)
+		// Lines 148–149: complete the owner's record. head == first
+		// after the load pins the pending operation to the one that
+		// claimed first (its owner returns only after head passed
+		// it). A failed CAS is retried while that holds: a Stage 1
+		// bump that loaded the record before the claim may land after
+		// it, and advancing head past a claimed sentinel whose
+		// operation is still pending would let it claim a second one.
+		// Each helper makes at most one such bump per sentinel.
+		if c&stMask != stPendDeq {
+			break
 		}
+		// The record's node, the head the owner read before it
+		// published, becomes next, the node holding the value. A
+		// stale helper of an earlier operation expects that
+		// operation's head, which head has since passed, so its CAS
+		// cannot land; the ctl re-check ties n to this operation.
+		if n := rec.node.Load(); n != next && (rec.ctl.Load() != c || !rec.node.CompareAndSwap(n, next)) {
+			continue
+		}
+		yield.At(yield.KPBeforeStateCASDeq, caller, tid)
+		if rec.ctl.CompareAndSwap(c, ctlNext(c, stDoneDeq)) {
+			break
+		}
+		q.met.incDescFail(caller)
+	}
+	yield.At(yield.KPAfterStateCASDeq, caller, tid)
+	yield.At(yield.KPBeforeHeadCAS, caller, tid)
+	if q.headRef.CompareAndSwap(first, next) { // Line 150
+		q.met.incHeadFix(caller)
+		q.unlinkPassed(caller, first)
 	}
 }
+
+// unlinkPassed is called by the winner of a head CAS with n, the node
+// head just moved past. Every unlinkEvery-th time per caller it links n
+// to itself, so a stale reference to a passed node (a stalled thread's
+// local, a conservatively scanned stack slot) pins at most
+// unlinkEvery·n nodes instead of every node dequeued after it. Readers
+// that loaded n from head or tail re-check that anchor before they use
+// n.next, and head, hence tail, has passed n. Nodes of fast-path appends
+// (enqTid = noTID) keep their link: the batch appender walks its own
+// chain after publishing it (advanceTailPastChain).
+func (q *Queue[T]) unlinkPassed(caller int, n *node[T]) {
+	c := &q.cursor[caller]
+	c.passed++
+	if c.passed%unlinkEvery == 0 && n.enqTid != noTID {
+		n.next.Store(n)
+	}
+}
+
+// unlinkEvery spaces the self-links: each costs a store to a shared
+// line, and one in eight keeps the pinned chain short.
+const unlinkEvery = 8
 
 // noTIDInt and fastTIDInt are the sentinel tids as ints for comparisons
 // after widening.
@@ -519,8 +561,12 @@ const (
 // for synchronization.
 func (q *Queue[T]) Len() int {
 	n := 0
-	for cur := q.headRef.Load().next.Load(); cur != nil; cur = cur.next.Load() {
-		n++
+	for cur := q.headRef.Load().next.Load(); cur != nil; n++ {
+		next := cur.next.Load()
+		if next == cur { // dequeued under us (self-linked)
+			break
+		}
+		cur = next
 	}
 	return n
 }

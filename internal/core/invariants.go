@@ -11,10 +11,9 @@ import "fmt"
 //     (the list is connected and acyclic up to tail);
 //  2. at most one node dangles beyond tail (the paper's single-dangling
 //     invariant from the lazy enqueue);
-//  3. no state descriptor is pending;
-//  4. every completed enqueue descriptor's node, if set, lies in the
-//     list or has been dequeued (reachability is not required — it may
-//     have been consumed — but the sentinel chain must not cycle);
+//  3. no operation record is pending, and none holds a node (the
+//     owner clears node and chainTail when its operation returns);
+//  4. the list from head does not cycle;
 //  5. the sentinel's deqTid is either unset, names a valid thread, or is
 //     the fast-path claim mark (fastTID).
 func (q *Queue[T]) CheckInvariants() error {
@@ -62,12 +61,16 @@ func (q *Queue[T]) CheckInvariants() error {
 	}
 
 	for i := range q.state {
-		d := q.state[i].p.Load()
-		if d == nil {
-			return fmt.Errorf("core: nil descriptor for thread %d", i)
+		rec := &q.state[i]
+		c := rec.ctl.Load()
+		if ctlPending(c) {
+			return fmt.Errorf("core: thread %d still pending at quiescence (phase %d)", i, rec.phase.Load())
 		}
-		if d.pending {
-			return fmt.Errorf("core: thread %d still pending at quiescence (phase %d)", i, d.phase)
+		if c&stMask > stDoneDeqEmpty {
+			return fmt.Errorf("core: thread %d record in unknown state %d", i, c&stMask)
+		}
+		if rec.node.Load() != nil || rec.chainTail.Load() != nil {
+			return fmt.Errorf("core: thread %d record still holds a node at quiescence", i)
 		}
 	}
 

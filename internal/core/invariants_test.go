@@ -77,9 +77,10 @@ func TestCheckInvariantsAfterStress(t *testing.T) {
 func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	t.Run("pending-at-quiescence", func(t *testing.T) {
 		q := New[int64](2)
-		q.state[1].p.Store(&opDesc[int64]{phase: 9, pending: true, enqueue: true})
+		q.state[1].phase.Store(9)
+		q.state[1].ctl.Store(ctlWord(1, stPendEnq))
 		if q.CheckInvariants() == nil {
-			t.Fatal("pending descriptor not detected")
+			t.Fatal("pending record not detected")
 		}
 	})
 	t.Run("double-dangling", func(t *testing.T) {

@@ -87,9 +87,10 @@ func dumpStuckState(t *testing.T, q *Queue[int64]) {
 		msg += fmt.Sprintf("\n dangling: enqTid=%d deqTid=%d self-loop=%v",
 			next.enqTid, next.deqTid.Load(), next.next.Load() == next)
 		for i := range q.state {
-			d := q.state[i].p.Load()
-			msg += fmt.Sprintf("\n state[%d]: phase=%d pending=%v enqueue=%v node==dangling:%v",
-				i, d.phase, d.pending, d.enqueue, d.node == next)
+			rec := &q.state[i]
+			c := rec.ctl.Load()
+			msg += fmt.Sprintf("\n state[%d]: phase=%d ver=%d st=%d node==dangling:%v",
+				i, rec.phase.Load(), c>>3, c&stMask, rec.node.Load() == next)
 		}
 	}
 	t.Log(msg)

@@ -27,8 +27,8 @@ type metricCounters struct {
 	helpsGiven atomic.Int64
 	// AppendCASFailures counts failed Line 74 CASes (lost append races).
 	appendCASFailures atomic.Int64
-	// DescCASFailures counts failed descriptor CASes (Lines 93, 120,
-	// 131, 149) executed by this thread.
+	// DescCASFailures counts failed operation-record CASes (Lines 93,
+	// 120, 131, 149) executed by this thread.
 	descCASFailures atomic.Int64
 	// TailFixes / HeadFixes count successful Line 94 / Line 150 CASes.
 	tailFixes atomic.Int64
@@ -55,11 +55,6 @@ type metricCounters struct {
 	batchEnqElems atomic.Int64
 	batchDeqs     atomic.Int64
 	batchDeqElems atomic.Int64
-	// DescCacheHits / DescCacheMisses count newDesc allocations served
-	// from (or missing) the WithDescriptorCache slot.
-	descCacheHits   atomic.Int64
-	descCacheMisses atomic.Int64
-	_               [112]byte // round the struct up to whole cache-line pairs
 }
 
 // newMetrics allocates counter blocks for nthreads threads.
@@ -85,8 +80,6 @@ type Snapshot struct {
 	BatchEnqElems     int64
 	BatchDeqs         int64
 	BatchDeqElems     int64
-	DescCacheHits     int64
-	DescCacheMisses   int64
 }
 
 // FastHits is the total number of operations completed on the fast path.
@@ -111,8 +104,6 @@ func (s Snapshot) Add(o Snapshot) Snapshot {
 	s.BatchEnqElems += o.BatchEnqElems
 	s.BatchDeqs += o.BatchDeqs
 	s.BatchDeqElems += o.BatchDeqElems
-	s.DescCacheHits += o.DescCacheHits
-	s.DescCacheMisses += o.DescCacheMisses
 	return s
 }
 
@@ -146,8 +137,6 @@ func (m *Metrics) Thread(tid int) Snapshot {
 		BatchEnqElems:     c.batchEnqElems.Load(),
 		BatchDeqs:         c.batchDeqs.Load(),
 		BatchDeqElems:     c.batchDeqElems.Load(),
-		DescCacheHits:     c.descCacheHits.Load(),
-		DescCacheMisses:   c.descCacheMisses.Load(),
 	}
 }
 
@@ -234,15 +223,5 @@ func (m *Metrics) incBatchDeq(tid int, k int) {
 	if m != nil {
 		m.counters[tid].batchDeqs.Add(1)
 		m.counters[tid].batchDeqElems.Add(int64(k))
-	}
-}
-func (m *Metrics) incDescCacheHit(tid int) {
-	if m != nil {
-		m.counters[tid].descCacheHits.Add(1)
-	}
-}
-func (m *Metrics) incDescCacheMiss(tid int) {
-	if m != nil {
-		m.counters[tid].descCacheMisses.Add(1)
 	}
 }

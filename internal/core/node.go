@@ -21,9 +21,10 @@ const fastTID int32 = -2
 type node[T any] struct {
 	// value is the enqueued element.
 	value T
-	// next links toward the tail; written once per residence in the
-	// list (by the Line 74 CAS) and never reset while the node is
-	// reachable.
+	// next links toward the tail; set once per residence in the list
+	// (by the Line 74 CAS) and never reset. On the GC queue a
+	// slow-path node that head has moved past is linked to itself
+	// (Queue.unlinkPassed).
 	next atomic.Pointer[node[T]]
 	// enqTid identifies the thread whose enqueue inserted this node.
 	// Written by exactly one thread before the node is published, read
@@ -55,9 +56,10 @@ func (n *node[T]) reset(v T, enqTid int32) {
 }
 
 // opDesc is an immutable operation descriptor — the paper's OpDesc class
-// (Figure 1, Lines 13–24). Descriptors are replaced, never mutated, so a
-// pointer CAS on a state entry atomically replaces the whole record, just
-// like Java's AtomicReferenceArray<OpDesc>.
+// (Figure 1, Lines 13–24), kept by HPQueue. Descriptors are replaced,
+// never mutated, so a pointer CAS on a state entry atomically replaces
+// the whole record, just like Java's AtomicReferenceArray<OpDesc>. The
+// GC Queue versions one record per thread in place instead (stateRec).
 type opDesc[T any] struct {
 	// phase is the operation's Bakery-style priority; smaller is older.
 	phase int64
@@ -71,18 +73,23 @@ type opDesc[T any] struct {
 	// (nil while unset, and nil in the final descriptor of a dequeue
 	// that observed an empty queue).
 	node *node[T]
-	// chainTail is non-nil only for a batch enqueue (EnqueueBatch): node
-	// is then the head of a pre-linked chain of k nodes and chainTail its
-	// last node. The whole chain enters the list with the one Line 74 CAS
-	// on node, and helpers swing tail from the pre-append last node
-	// directly to chainTail — never to a chain-interior node — so the
-	// "tail is the last or second-to-last node" invariant generalizes to
-	// "last node or the node whose next begins a dangling chain".
-	chainTail *node[T]
-	// value is the §3.4 extension used only by HPQueue: the dequeued
-	// value is copied here by help_finish_deq so the dequeuer never
-	// dereferences node after it may have been retired and recycled.
+	// value is the §3.4 extension: the dequeued value is copied here by
+	// help_finish_deq so the dequeuer never dereferences node after it
+	// may have been retired and recycled.
 	value T
-	// hasValue marks value as meaningful (HPQueue dequeues only).
+	// hasValue marks value as meaningful (dequeues only).
 	hasValue bool
+}
+
+// paddedDesc keeps each thread's HPQueue state entry on its own
+// cache-line pair.
+type paddedDesc[T any] struct {
+	p atomic.Pointer[opDesc[T]]
+	_ [sepBytes - 8]byte
+}
+
+// stillPending reports whether descriptor d is pending at a phase not
+// exceeding ph — Lines 58–60 on one loaded snapshot.
+func stillPending[T any](d *opDesc[T], ph int64) bool {
+	return d.pending && d.phase <= ph
 }

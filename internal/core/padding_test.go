@@ -12,13 +12,12 @@ import (
 // assertions fail the build (constant array index out of range) if a
 // field change silently alters a struct size.
 var (
+	_ = [1]struct{}{}[unsafe.Sizeof(stateRec[int64]{})-sepBytes]
 	_ = [1]struct{}{}[unsafe.Sizeof(paddedDesc[int64]{})-sepBytes]
 	_ = [1]struct{}{}[unsafe.Sizeof(paddedCursor{})-sepBytes]
-	_ = [1]struct{}{}[unsafe.Sizeof(descCacheSlot[int64]{})-sepBytes]
 	_ = [1]struct{}{}[unsafe.Sizeof(paddedPtr[int64]{})-sepBytes]
-	// metricCounters outgrew one separation unit when the batch and
-	// descriptor-cache counters were added; it now occupies exactly two.
-	_ = [1]struct{}{}[unsafe.Sizeof(metricCounters{})-2*sepBytes]
+	// metricCounters holds exactly sixteen 8-byte counters: one unit.
+	_ = [1]struct{}{}[unsafe.Sizeof(metricCounters{})-sepBytes]
 )
 
 // TestPaddedStructSizes restates the compile-time assertions with
@@ -30,11 +29,11 @@ func TestPaddedStructSizes(t *testing.T) {
 		size uintptr
 		want uintptr
 	}{
+		{"stateRec", unsafe.Sizeof(stateRec[int64]{}), sepBytes},
 		{"paddedDesc", unsafe.Sizeof(paddedDesc[int64]{}), sepBytes},
 		{"paddedCursor", unsafe.Sizeof(paddedCursor{}), sepBytes},
-		{"descCacheSlot", unsafe.Sizeof(descCacheSlot[int64]{}), sepBytes},
 		{"paddedPtr", unsafe.Sizeof(paddedPtr[int64]{}), sepBytes},
-		{"metricCounters", unsafe.Sizeof(metricCounters{}), 2 * sepBytes},
+		{"metricCounters", unsafe.Sizeof(metricCounters{}), sepBytes},
 	} {
 		if tc.size != tc.want {
 			t.Errorf("%s: size %d, want %d", tc.name, tc.size, tc.want)

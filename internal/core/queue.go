@@ -69,10 +69,7 @@ type config struct {
 	helpTree    bool
 	helpTreeSet bool
 	randomHelp  bool
-	clearOnExit bool
-	descCache   bool
 	metrics     bool
-	validate    bool
 	phases      phase.Provider
 }
 
@@ -142,31 +139,11 @@ func WithoutHelpTree() Option {
 // splitmix64 stream, so runs remain reproducible.
 func WithRandomHelping() Option { return func(c *config) { c.randomHelp = true } }
 
-// WithValidationChecks enables the third §3.3 enhancement: "we might
-// check whether the pending flag is already switched off before applying
-// CAS in Lines 93 or 149". When another helper already completed the
-// descriptor, the (costly) CAS and its descriptor allocation are skipped;
-// the tail/head fix still runs. The paper notes such checks "might be
-// helpful in performance tuning" but omits them for presentation
-// clarity; BenchmarkValidationChecks prices them.
-func WithValidationChecks() Option { return func(c *config) { c.validate = true } }
-
 // WithMetrics attaches per-thread event counters (help traffic, CAS
 // failures, tail/head fixes) readable through Queue.Metrics. Used by the
 // help-traffic experiments; costs one nil-check per counted event when
 // disabled and one atomic add when enabled.
 func WithMetrics() Option { return func(c *config) { c.metrics = true } }
-
-// WithClearOnExit enables the §3.3 enhancement that installs a dummy
-// descriptor (node = nil) when an operation returns, so a finished
-// thread's state entry does not keep a dequeued node live for the GC.
-func WithClearOnExit() Option { return func(c *config) { c.clearOnExit = true } }
-
-// WithDescriptorCache enables the §3.3 enhancement that reuses descriptor
-// allocations whose install-CAS failed. Only never-published descriptors
-// are cached, so descriptor pointers can never repeat at a state entry
-// (which would reintroduce ABA on the state CASes).
-func WithDescriptorCache() Option { return func(c *config) { c.descCache = true } }
 
 // WithPhaseProvider overrides the phase source used by VariantOpt2 and
 // VariantOpt12 (default: the paper's CAS counter; phase.NewFAA is the
@@ -196,25 +173,77 @@ func WithArena(blockSize int) Option {
 // compile-time assertions in padding_test.go keep the struct sizes honest.
 const sepBytes = 128
 
-// paddedDesc keeps each thread's state entry on its own cache-line pair;
-// the entries are the hottest CAS targets in the algorithm.
-type paddedDesc[T any] struct {
-	p atomic.Pointer[opDesc[T]]
-	_ [sepBytes - 8]byte
+// Record states, the low three bits of stateRec.ctl.
+const (
+	// stDoneEnq is a completed enqueue — and the constructor's record
+	// (phase -1, non-pending, enqueue), so the zero ctl word is valid.
+	stDoneEnq uint64 = iota
+	stPendEnq
+	stPendDeq
+	// stDoneDeq is a dequeue that claimed a sentinel (returns a value);
+	// stDoneDeqEmpty one that linearized on an empty queue.
+	stDoneDeq
+	stDoneDeqEmpty
+	stMask = 7
+)
+
+// ctlWord packs a record version and state; ctlNext is the word a
+// transition from c to state st installs. Versions grow by one on every
+// transition and never repeat, so a CAS expecting a loaded word fails
+// if any transition happened since the load.
+func ctlWord(ver, st uint64) uint64 { return ver<<3 | st }
+func ctlNext(c, st uint64) uint64   { return ctlWord(c>>3+1, st) }
+func ctlPending(c uint64) bool      { st := c & stMask; return st == stPendEnq || st == stPendDeq }
+
+// stateRec is one thread's operation record — the paper's OpDesc made
+// mutable in place (ALGORITHM.md, "In-place operation records"). Helpers
+// CAS ctl, only from a pending word, and a dequeue's node; the owner
+// writes phase, node and chainTail only while the record is done, so its
+// stores never race a helper's CAS. Padded to its own cache-line pair:
+// the records are the hottest CAS targets in the algorithm.
+type stateRec[T any] struct {
+	// ctl is ver<<3 | st, one of the st* states.
+	ctl atomic.Uint64
+	// phase is the operation's Bakery-style priority; smaller is older.
+	// Readers load it after ctl: a thread's phases never decrease, so a
+	// torn read over-estimates only the phase of a completed operation.
+	phase atomic.Int64
+	// node is the enqueue's node (the chain head for a batch). A
+	// dequeue publishes the head it read, and its completion (Line 149)
+	// replaces that with the node holding the dequeued value. nil
+	// between operations.
+	node atomic.Pointer[node[T]]
+	// chainTail is the last node of a batch enqueue's chain (nil
+	// otherwise). The owner writes it before node; helpers read it after
+	// node.
+	chainTail atomic.Pointer[node[T]]
+	_         [sepBytes - 32]byte
+}
+
+// pendingAt loads the record word and reports whether it is a pending
+// operation at a phase not exceeding ph — the paper's isStillPending on
+// one snapshot, returning the word so the caller can CAS against it.
+func (r *stateRec[T]) pendingAt(ph int64) (uint64, bool) {
+	c := r.ctl.Load()
+	return c, ctlPending(c) && r.phase.Load() <= ph
+}
+
+// publish makes the owner's new operation visible (Lines 62–63 and
+// 99–100): phase, then the pending ctl word. The caller stores node (and
+// a batch's chainTail) first.
+func (r *stateRec[T]) publish(ph int64, st uint64) {
+	r.phase.Store(ph)
+	r.ctl.Store(ctlNext(r.ctl.Load(), st))
 }
 
 // paddedCursor is a per-thread helping cursor for VariantOpt1/Opt12.
-// With WithRandomHelping, rng replaces the cyclic index.
+// With WithRandomHelping, rng replaces the cyclic index. passed counts
+// the thread's head advances (unlinkPassed).
 type paddedCursor struct {
-	i   int
-	rng xrand.SplitMix64
-	_   [sepBytes - 16]byte
-}
-
-// descCacheSlot holds one reusable, never-published descriptor per thread.
-type descCacheSlot[T any] struct {
-	d *opDesc[T]
-	_ [sepBytes - 8]byte
+	i      int
+	rng    xrand.SplitMix64
+	passed uint64
+	_      [sepBytes - 24]byte
 }
 
 // Queue is the Kogan–Petrank wait-free MPMC FIFO queue. Create one with
@@ -238,23 +267,18 @@ type Queue[T any] struct {
 	// path, whose helping protocol completes the stalled operation.
 	slowPending atomic.Int32
 	_           [sepBytes - 4]byte
-	// state is the per-thread operation-descriptor array (Line 26).
-	state []paddedDesc[T]
+	// state is the per-thread operation-record array (Line 26).
+	state []stateRec[T]
 	// cursor drives cyclic help-one candidate selection (VariantOpt1).
 	cursor []paddedCursor
-	// cache holds reusable failed-CAS descriptors (WithDescriptorCache).
-	cache []descCacheSlot[T]
 
 	nthreads  int
 	variant   Variant
 	helpChunk int
 	// patience is the fast-path attempt bound; 0 disables the fast path
 	// (every operation goes straight to the helping protocol).
-	patience    int
-	randomHelp  bool
-	clearOnExit bool
-	useCache    bool
-	validate    bool
+	patience   int
+	randomHelp bool
 	// met is non-nil when WithMetrics is set.
 	met *Metrics
 	// phases is non-nil for VariantOpt2/Opt12.
@@ -291,16 +315,13 @@ func New[T any](nthreads int, opts ...Option) *Queue[T] {
 		}
 	}
 	q := &Queue[T]{
-		state:       make([]paddedDesc[T], nthreads),
-		cursor:      make([]paddedCursor, nthreads),
-		nthreads:    nthreads,
-		variant:     cfg.variant,
-		helpChunk:   cfg.helpChunk,
-		patience:    cfg.patience,
-		randomHelp:  cfg.randomHelp,
-		clearOnExit: cfg.clearOnExit,
-		useCache:    cfg.descCache,
-		validate:    cfg.validate,
+		state:      make([]stateRec[T], nthreads),
+		cursor:     make([]paddedCursor, nthreads),
+		nthreads:   nthreads,
+		variant:    cfg.variant,
+		helpChunk:  cfg.helpChunk,
+		patience:   cfg.patience,
+		randomHelp: cfg.randomHelp,
 	}
 	for i := range q.cursor {
 		q.cursor[i].rng = *xrand.NewSplitMix64(uint64(i) + 1)
@@ -310,9 +331,6 @@ func New[T any](nthreads int, opts ...Option) *Queue[T] {
 	}
 	if cfg.arena {
 		q.arena = pool.NewArena[node[T]](nthreads, cfg.arenaBlock)
-	}
-	if cfg.descCache {
-		q.cache = make([]descCacheSlot[T], nthreads)
 	}
 	if cfg.variant == VariantOpt2 || cfg.variant == VariantOpt12 || cfg.variant == VariantFast {
 		// VariantFast's slow path is the Opt12 machinery: counter-based
@@ -328,14 +346,14 @@ func New[T any](nthreads int, opts ...Option) *Queue[T] {
 	if cfg.helpTree && cfg.variant != VariantBase && cfg.variant != VariantOpt2 {
 		q.tree = helptree.New(nthreads)
 	}
-	// Constructor, Lines 27–35: one sentinel node; every state entry
-	// starts with a non-pending descriptor at phase -1.
+	// Constructor, Lines 27–35: one sentinel node; every record starts
+	// as a non-pending enqueue (the zero ctl word) at phase -1.
 	var zero T
 	sentinel := newNode(zero, noTID)
 	q.headRef.Store(sentinel)
 	q.tailRef.Store(sentinel)
 	for i := range q.state {
-		q.state[i].p.Store(&opDesc[T]{phase: -1, pending: false, enqueue: true})
+		q.state[i].phase.Store(-1)
 	}
 	return q
 }
@@ -368,7 +386,7 @@ func (q *Queue[T]) checkTid(tid int) {
 func (q *Queue[T]) maxPhase() int64 {
 	maxPh := int64(-1)
 	for i := range q.state {
-		if ph := q.state[i].p.Load().phase; ph > maxPh {
+		if ph := q.state[i].phase.Load(); ph > maxPh {
 			maxPh = ph
 		}
 	}
@@ -406,32 +424,8 @@ func (q *Queue[T]) fastAllowed(tid int) bool {
 // isStillPending reports whether thread tid has a pending operation at a
 // phase not exceeding ph — Lines 58–60.
 func (q *Queue[T]) isStillPending(tid int, ph int64) bool {
-	d := q.state[tid].p.Load()
-	return d.pending && d.phase <= ph
-}
-
-// stillPending is the snapshot form used where the caller already loaded
-// the descriptor and must act on that exact version.
-func stillPending[T any](d *opDesc[T], ph int64) bool {
-	return d.pending && d.phase <= ph
-}
-
-// newDesc allocates a descriptor, reusing caller's cached never-published
-// descriptor when the cache enhancement is on. chain is the batch chain
-// tail carried by enqueue-completion descriptors (nil otherwise).
-func (q *Queue[T]) newDesc(caller int, ph int64, pending, enqueue bool, n, chain *node[T]) *opDesc[T] {
-	if q.useCache {
-		if d := q.cache[caller].d; d != nil {
-			q.cache[caller].d = nil
-			q.met.incDescCacheHit(caller)
-			d.phase, d.pending, d.enqueue, d.node, d.chainTail = ph, pending, enqueue, n, chain
-			var zero T
-			d.value, d.hasValue = zero, false
-			return d
-		}
-		q.met.incDescCacheMiss(caller)
-	}
-	return &opDesc[T]{phase: ph, pending: pending, enqueue: enqueue, node: n, chainTail: chain}
+	_, ok := q.state[tid].pendingAt(ph)
+	return ok
 }
 
 // allocNode builds a node for thread tid's enqueue: bump-allocated from
@@ -454,12 +448,4 @@ func (q *Queue[T]) ArenaStats() (blocks, gets int64) {
 		return 0, 0
 	}
 	return q.arena.Stats()
-}
-
-// recycleDesc returns a descriptor whose install-CAS failed (and which was
-// therefore never visible to any other thread) to caller's cache slot.
-func (q *Queue[T]) recycleDesc(caller int, d *opDesc[T]) {
-	if q.useCache {
-		q.cache[caller].d = d
-	}
 }

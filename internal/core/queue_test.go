@@ -40,14 +40,13 @@ func flavours() []flavour {
 		{"opt1", func(n int) testQueue { return New[int64](n, WithVariant(VariantOpt1)) }},
 		{"opt2", func(n int) testQueue { return New[int64](n, WithVariant(VariantOpt2)) }},
 		{"opt12", func(n int) testQueue { return New[int64](n, WithVariant(VariantOpt12)) }},
-		{"base+cache", func(n int) testQueue { return New[int64](n, WithDescriptorCache()) }},
-		{"base+clear", func(n int) testQueue { return New[int64](n, WithClearOnExit()) }},
-		{"base+cache+clear", func(n int) testQueue {
-			return New[int64](n, WithDescriptorCache(), WithClearOnExit())
-		}},
-		{"opt12+cache+clear", func(n int) testQueue {
-			return New[int64](n, WithVariant(VariantOpt12), WithDescriptorCache(), WithClearOnExit())
-		}},
+		// The +cache, +clear and +validate flavours name the §3.3
+		// knobs the in-place operation records subsume (ALGORITHM.md):
+		// they now build the same queue as the flavour without them.
+		{"base+cache", func(n int) testQueue { return New[int64](n) }},
+		{"base+clear", func(n int) testQueue { return New[int64](n) }},
+		{"base+cache+clear", func(n int) testQueue { return New[int64](n) }},
+		{"opt12+cache+clear", func(n int) testQueue { return New[int64](n, WithVariant(VariantOpt12)) }},
 		{"opt12+faa", func(n int) testQueue {
 			return New[int64](n, WithVariant(VariantOpt12), WithPhaseProvider(phase.NewFAA()))
 		}},
@@ -57,12 +56,9 @@ func flavours() []flavour {
 		{"opt12+random", func(n int) testQueue {
 			return New[int64](n, WithVariant(VariantOpt12), WithRandomHelping())
 		}},
-		{"base+validate", func(n int) testQueue {
-			return New[int64](n, WithValidationChecks())
-		}},
+		{"base+validate", func(n int) testQueue { return New[int64](n) }},
 		{"opt12+validate+cache+clear", func(n int) testQueue {
-			return New[int64](n, WithVariant(VariantOpt12), WithValidationChecks(),
-				WithDescriptorCache(), WithClearOnExit())
+			return New[int64](n, WithVariant(VariantOpt12))
 		}},
 		{"hp", func(n int) testQueue { return NewHP[int64](n, 0, 0) }},
 		{"hp-tiny-pool", func(n int) testQueue { return NewHP[int64](n, 4, 4) }},
@@ -71,10 +67,7 @@ func flavours() []flavour {
 		// operation into the helping protocol, exercising the fast/slow
 		// boundary continuously.
 		{"fast-patience1", func(n int) testQueue { return New[int64](n, WithFastPath(1)) }},
-		{"fast+validate+cache+clear", func(n int) testQueue {
-			return New[int64](n, WithFastPath(4), WithValidationChecks(),
-				WithDescriptorCache(), WithClearOnExit())
-		}},
+		{"fast+validate+cache+clear", func(n int) testQueue { return New[int64](n, WithFastPath(4)) }},
 		{"hp-fast", func(n int) testQueue { return NewHP[int64](n, 0, 0, WithFastPath(0)) }},
 		{"hp-fast-tiny-pool", func(n int) testQueue { return NewHP[int64](n, 4, 4, WithFastPath(1)) }},
 	}
@@ -285,7 +278,7 @@ func TestPhaseMonotone(t *testing.T) {
 		prev := int64(-1)
 		for i := 0; i < 100; i++ {
 			q.Enqueue(0, int64(i))
-			ph := q.state[0].p.Load().phase
+			ph := q.state[0].phase.Load()
 			if ph <= prev {
 				t.Fatalf("%v: phase %d not above previous %d", variant, ph, prev)
 			}
@@ -347,43 +340,68 @@ func TestGenericElementTypes(t *testing.T) {
 	}
 }
 
-func TestDescriptorCacheReuse(t *testing.T) {
-	// With the cache on, a failed install-CAS descriptor is reused by
-	// the same caller's next allocation. Exercise deterministically:
-	// prime the cache, then observe reuse.
-	q := New[int64](2, WithDescriptorCache())
-	d := &opDesc[int64]{phase: 1}
-	q.recycleDesc(0, d)
-	got := q.newDesc(0, 7, true, false, nil, nil)
-	if got != d {
-		t.Fatal("cached descriptor not reused")
+func TestClearOnExitLeavesNoNodeReference(t *testing.T) {
+	// Clearing is unconditional: a returned operation's record is done
+	// and holds no node that could pin the list for the GC.
+	q := New[int64](2)
+	q.Enqueue(0, 1)
+	if rec := &q.state[0]; rec.node.Load() != nil || ctlPending(rec.ctl.Load()) {
+		t.Fatalf("enqueue left ctl %#x node %p", rec.ctl.Load(), rec.node.Load())
 	}
-	if got.phase != 7 || !got.pending || got.enqueue || got.node != nil {
-		t.Fatalf("reused descriptor not reinitialized: %+v", got)
+	q.EnqueueBatch(0, []int64{2, 3})
+	if rec := &q.state[0]; rec.node.Load() != nil || rec.chainTail.Load() != nil {
+		t.Fatalf("batch enqueue left node %p chainTail %p", rec.node.Load(), rec.chainTail.Load())
 	}
-	// Cache is per thread: caller 1's slot is untouched.
-	if q.newDesc(1, 1, false, false, nil, nil) == d {
-		t.Fatal("descriptor leaked across threads")
+	for _, want := range []int64{1, 2, 3} {
+		if v, ok := q.Dequeue(1); !ok || v != want {
+			t.Fatalf("(%d,%v), want %d", v, ok, want)
+		}
 	}
-	// Without the option, recycleDesc is a no-op.
-	q2 := New[int64](2)
-	q2.recycleDesc(0, d)
-	if q2.newDesc(0, 1, false, false, nil, nil) == d {
-		t.Fatal("cache active without option")
+	if rec := &q.state[1]; rec.node.Load() != nil || rec.ctl.Load()&stMask != stDoneDeq {
+		t.Fatalf("dequeue left ctl %#x node %p", rec.ctl.Load(), rec.node.Load())
 	}
 }
 
-func TestClearOnExitLeavesNoNodeReference(t *testing.T) {
-	q := New[int64](2, WithClearOnExit())
-	q.Enqueue(0, 1)
-	if d := q.state[0].p.Load(); d.node != nil || d.pending {
-		t.Fatalf("enqueue left descriptor %+v", d)
+// TestPassedSentinelsSelfLinked pins the GC aid of the in-place records:
+// head advances link every unlinkEvery-th passed slow-path sentinel to
+// itself, so a stale reference to a dequeued node reaches a bounded
+// chain instead of every node dequeued after it, while fast-path nodes
+// keep their links (a batch appender walks its chain).
+func TestPassedSentinelsSelfLinked(t *testing.T) {
+	const n = 4 * unlinkEvery
+	q := New[int64](2)
+	for i := int64(0); i < n; i++ {
+		q.Enqueue(0, i)
 	}
-	if v, ok := q.Dequeue(1); !ok || v != 1 {
-		t.Fatalf("(%d,%v)", v, ok)
+	stale := q.headRef.Load().next.Load() // node of 0, the next sentinel
+	for i := 0; i < n; i++ {
+		q.Dequeue(1)
 	}
-	if d := q.state[1].p.Load(); d.node != nil || d.pending {
-		t.Fatalf("dequeue left descriptor %+v", d)
+	reach := 0
+	for cur := stale; ; reach++ {
+		next := cur.next.Load()
+		if next == cur || next == nil {
+			break
+		}
+		cur = next
+	}
+	if reach >= unlinkEvery {
+		t.Fatalf("a stale dequeued node reaches %d nodes, want < %d", reach, unlinkEvery)
+	}
+	if q.Len() != 0 {
+		t.Fatalf("len %d after draining", q.Len())
+	}
+
+	f := New[int64](2, WithFastPath(0))
+	f.Enqueue(0, 1)
+	f.Enqueue(0, 2)
+	fastFirst := f.headRef.Load().next.Load()
+	second := fastFirst.next.Load()
+	for i := 0; i < unlinkEvery; i++ {
+		f.Dequeue(1)
+	}
+	if fastFirst.next.Load() != second {
+		t.Fatal("fast-path node lost its link")
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -202,5 +203,164 @@ func TestEmptyVsNonEmptyHelperRace(t *testing.T) {
 	}
 	if _, ok := q.Dequeue(helperH); ok {
 		t.Fatal("phantom element")
+	}
+}
+
+// TestPostClaimStage1Bump stages the one window the in-place operation
+// records add (ALGORITHM.md, "In-place operation records"): a Stage 1
+// version bump that loaded the owner's record before another helper
+// claimed the sentinel, and lands after that helper loaded the record
+// for its Line 149 completion. The completion CAS then fails; unless it
+// is retried while head still points at the claimed sentinel, Line 150
+// advances head past a sentinel whose operation is still pending, the
+// operation claims a second sentinel, and that element is lost.
+//
+// Choreography on the base variant (every operation helps all older
+// pending ones), owner O = 0, helpers A = 1 and B = 2:
+//
+//  1. O publishes Dequeue and parks at its first help scan.
+//  2. B (Enqueue) helps O: Stage 1 bump, parks before the claim.
+//  3. A (Enqueue) helps O: loads the bumped record, sees the sentinel
+//     unclaimed, parks before its own Stage 1 CAS.
+//  4. B claims the sentinel for O, loads the record in help_finish_deq,
+//     parks before the Line 149 CAS.
+//  5. A's bump lands after the claim; A parks before its (failing) claim.
+//  6. B's Line 149 CAS fails; B must retry and complete O before it
+//     advances head.
+//
+// Every wait is bounded, so a build without the retry fails here rather
+// than hanging.
+func TestPostClaimStage1Bump(t *testing.T) {
+	const owner, helperA, helperB = 0, 1, 2
+	q := New[int64](3)
+	q.Enqueue(helperB, 10)
+	q.Enqueue(helperB, 20)
+
+	type spot struct {
+		p      yield.Point
+		caller int
+	}
+	type gate struct {
+		once           sync.Once
+		parked, resume chan struct{}
+	}
+	gates := map[spot]*gate{}
+	for _, s := range []spot{
+		{yield.KPHelpScan, owner},
+		{yield.KPBeforeDeqTidCAS, helperB},
+		{yield.KPBeforeStage1CAS, helperA},
+		{yield.KPBeforeStateCASDeq, helperB},
+		{yield.KPBeforeDeqTidCAS, helperA},
+	} {
+		gates[s] = &gate{parked: make(chan struct{}), resume: make(chan struct{})}
+	}
+	var violation atomic.Bool
+	prev := yield.Set(func(p yield.Point, caller, _ int) {
+		if p == yield.KPBeforeHeadCAS {
+			// Line 150 may pass a sentinel claimed for O only once
+			// O's record is done.
+			if q.headRef.Load().deqTid.Load() == owner && q.isStillPending(owner, 1<<62) {
+				violation.Store(true)
+			}
+			return
+		}
+		if g := gates[spot{p, caller}]; g != nil {
+			g.once.Do(func() {
+				close(g.parked)
+				<-g.resume
+			})
+		}
+	})
+	defer yield.Set(prev)
+	released := map[*gate]bool{}
+	release := func(s spot) {
+		g := gates[s]
+		if !released[g] {
+			released[g] = true
+			close(g.resume)
+		}
+	}
+	defer func() {
+		for s := range gates {
+			release(s)
+		}
+	}()
+	await := func(s spot, what string) {
+		t.Helper()
+		select {
+		case <-gates[s].parked:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s never reached %s", what, s.p)
+		}
+	}
+	finish := func(done <-chan struct{}, what string) {
+		t.Helper()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s never returned", what)
+		}
+	}
+
+	ownerGot := make(chan int64, 1)
+	ownerDone := make(chan struct{})
+	go func() {
+		defer close(ownerDone)
+		v, ok := q.Dequeue(owner)
+		if !ok {
+			v = -1
+		}
+		ownerGot <- v
+	}()
+	await(spot{yield.KPHelpScan, owner}, "owner") // 1
+
+	bDone := make(chan struct{})
+	go func() {
+		defer close(bDone)
+		q.Enqueue(helperB, 30)
+	}()
+	await(spot{yield.KPBeforeDeqTidCAS, helperB}, "helper B") // 2
+
+	aDone := make(chan struct{})
+	go func() {
+		defer close(aDone)
+		q.Enqueue(helperA, 40)
+	}()
+	await(spot{yield.KPBeforeStage1CAS, helperA}, "helper A") // 3
+
+	release(spot{yield.KPBeforeDeqTidCAS, helperB})
+	await(spot{yield.KPBeforeStateCASDeq, helperB}, "helper B") // 4
+
+	release(spot{yield.KPBeforeStage1CAS, helperA})
+	await(spot{yield.KPBeforeDeqTidCAS, helperA}, "helper A") // 5
+
+	release(spot{yield.KPBeforeStateCASDeq, helperB}) // 6
+	finish(bDone, "helper B")
+	if violation.Load() {
+		t.Error("head passed the sentinel claimed for the owner while its record was pending")
+	}
+
+	release(spot{yield.KPBeforeDeqTidCAS, helperA})
+	finish(aDone, "helper A")
+	release(spot{yield.KPHelpScan, owner})
+	finish(ownerDone, "owner")
+	if v := <-ownerGot; v != 10 {
+		t.Errorf("owner dequeued %d, want 10", v)
+	}
+
+	// Conservation: 20 first (FIFO), then both helpers' values, each once.
+	var rest []int64
+	for {
+		v, ok := q.Dequeue(helperB)
+		if !ok {
+			break
+		}
+		rest = append(rest, v)
+	}
+	if len(rest) != 3 || rest[0] != 20 || rest[1]+rest[2] != 70 || rest[1] == rest[2] {
+		t.Fatalf("remaining elements %v, want [20 30 40] (30 and 40 in either order)", rest)
+	}
+	if err := q.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

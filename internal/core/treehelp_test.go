@@ -20,8 +20,7 @@ import (
 // operation's announcement.
 func TestTreeHelpFrozenAnnounce(t *testing.T) {
 	const frozen, helper = 0, 1
-	q := New[int64](2,
-		WithVariant(VariantOpt12), WithDescriptorCache(), WithHelpTree())
+	q := New[int64](2, WithVariant(VariantOpt12), WithHelpTree())
 
 	parked := make(chan struct{})
 	resume := make(chan struct{})
@@ -77,8 +76,7 @@ func TestTreeHelpFrozenAnnounce(t *testing.T) {
 // helpEnq make the completion exactly-once.
 func TestTreeHelpTwoHelpersOneVictim(t *testing.T) {
 	const frozen = 0
-	q := New[int64](3,
-		WithVariant(VariantOpt12), WithDescriptorCache(), WithHelpTree())
+	q := New[int64](3, WithVariant(VariantOpt12), WithHelpTree())
 
 	parked := make(chan struct{})
 	resume := make(chan struct{})
@@ -141,7 +139,7 @@ func TestTreeHelpTwoHelpersOneVictim(t *testing.T) {
 func TestTreeAllocParity(t *testing.T) {
 	measure := func(opts ...Option) float64 {
 		q := New[int64](1, opts...)
-		for i := int64(0); i < 64; i++ { // warm the descriptor cache
+		for i := int64(0); i < 64; i++ { // warm up
 			q.Enqueue(0, i)
 			q.Dequeue(0)
 		}
@@ -150,7 +148,7 @@ func TestTreeAllocParity(t *testing.T) {
 			q.Dequeue(0)
 		})
 	}
-	base := []Option{WithVariant(VariantOpt12), WithDescriptorCache()}
+	base := []Option{WithVariant(VariantOpt12)}
 	without := measure(append(base, WithoutHelpTree())...)
 	with := measure(append(base, WithHelpTree())...)
 	if with != without {
@@ -160,8 +158,8 @@ func TestTreeAllocParity(t *testing.T) {
 	// Same parity on the gated fast path (tree defaults ON for
 	// VariantFast): patience-8 ops that never go slow must stay at the
 	// tree-free count too.
-	fastWithout := measure(WithFastPath(DefaultPatience), WithDescriptorCache(), WithoutHelpTree())
-	fastWith := measure(WithFastPath(DefaultPatience), WithDescriptorCache())
+	fastWithout := measure(WithFastPath(DefaultPatience), WithoutHelpTree())
+	fastWith := measure(WithFastPath(DefaultPatience))
 	if fastWith != fastWithout {
 		t.Fatalf("helptree changes fast-path allocs/pair: %v with tree, %v without", fastWith, fastWithout)
 	}

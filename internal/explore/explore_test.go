@@ -12,8 +12,12 @@ func kpBase(n int) queues.Queue { return core.New[int64](n) }
 func kpOpt12(n int) queues.Queue {
 	return core.New[int64](n, core.WithVariant(core.VariantOpt12))
 }
+
+// kpClearCache is the flavour that once enabled the §3.3 clear-on-exit
+// and descriptor-cache knobs; the in-place operation records subsume
+// both, so it builds the plain base queue.
 func kpClearCache(n int) queues.Queue {
-	return core.New[int64](n, core.WithClearOnExit(), core.WithDescriptorCache())
+	return core.New[int64](n)
 }
 func kpHP(n int) queues.Queue { return core.NewHP[int64](n, 4, 2) }
 func kpFast1(n int) queues.Queue {

@@ -61,29 +61,26 @@ func BaseWF() Algorithm {
 }
 
 // OptWF1 applies only optimization 1 (help-one, cyclic). The opt-WF
-// constructors also enable the §3.3 descriptor-cache enhancement and the
-// event counters, so the bench summaries can report cache hit/miss rates
-// (the counters cost one predictable nil-check + atomic add per event).
+// constructors also enable the event counters, so the bench summaries
+// can report help traffic (the counters cost one predictable nil-check +
+// atomic add per event).
 func OptWF1() Algorithm {
 	return Algorithm{Name: "opt WF (1)", New: func(n int) queues.Queue {
-		return core.New[int64](n, core.WithVariant(core.VariantOpt1),
-			core.WithDescriptorCache(), core.WithMetrics())
+		return core.New[int64](n, core.WithVariant(core.VariantOpt1), core.WithMetrics())
 	}}
 }
 
 // OptWF2 applies only optimization 2 (atomic phase counter).
 func OptWF2() Algorithm {
 	return Algorithm{Name: "opt WF (2)", New: func(n int) queues.Queue {
-		return core.New[int64](n, core.WithVariant(core.VariantOpt2),
-			core.WithDescriptorCache(), core.WithMetrics())
+		return core.New[int64](n, core.WithVariant(core.VariantOpt2), core.WithMetrics())
 	}}
 }
 
 // OptWF12 applies both optimizations — the "opt WF (1+2)" series.
 func OptWF12() Algorithm {
 	return Algorithm{Name: "opt WF (1+2)", New: func(n int) queues.Queue {
-		return core.New[int64](n, core.WithVariant(core.VariantOpt12),
-			core.WithDescriptorCache(), core.WithMetrics())
+		return core.New[int64](n, core.WithVariant(core.VariantOpt12), core.WithMetrics())
 	}}
 }
 
@@ -94,8 +91,7 @@ func OptWF12() Algorithm {
 // uncontended cost.
 func FastWF() Algorithm {
 	return Algorithm{Name: "fast WF", New: func(n int) queues.Queue {
-		return core.New[int64](n, core.WithFastPath(0),
-			core.WithDescriptorCache(), core.WithMetrics())
+		return core.New[int64](n, core.WithFastPath(0), core.WithMetrics())
 	}}
 }
 
@@ -106,7 +102,7 @@ func FastWF() Algorithm {
 func FastWFArena() Algorithm {
 	return Algorithm{Name: "fast WF (arena)", New: func(n int) queues.Queue {
 		return core.New[int64](n, core.WithFastPath(0), core.WithArena(0),
-			core.WithDescriptorCache(), core.WithMetrics())
+			core.WithMetrics())
 	}}
 }
 
@@ -173,8 +169,7 @@ const shardedDefault = 8
 // single-queue series to price the helping ceiling it removes.
 func ShardedWF() Algorithm {
 	return Algorithm{Name: "sharded WF", Shards: shardedDefault, New: func(n int) queues.Queue {
-		return sharded.New[int64](n, shardedDefault, core.WithFastPath(0),
-			core.WithDescriptorCache(), core.WithMetrics())
+		return sharded.New[int64](n, shardedDefault, core.WithFastPath(0), core.WithMetrics())
 	}}
 }
 
@@ -197,7 +192,7 @@ func ShardedWFHP() Algorithm {
 // prices the lifecycle layer itself.
 func BlockingWF() Algorithm {
 	return Algorithm{Name: "blocking WF", New: func(n int) queues.Queue {
-		return wfq.New[int64](n, wfq.WithFastPath(0), wfq.WithDescriptorCache())
+		return wfq.New[int64](n, wfq.WithFastPath(0))
 	}}
 }
 
@@ -206,20 +201,19 @@ func BlockingWF() Algorithm {
 // of the blocking-workload acceptance experiment.
 func BlockingShardedWF() Algorithm {
 	return Algorithm{Name: "blocking sharded WF", Shards: shardedDefault, New: func(n int) queues.Queue {
-		return sharded.New[int64](n, shardedDefault, core.WithFastPath(0),
-			core.WithDescriptorCache())
+		return sharded.New[int64](n, shardedDefault, core.WithFastPath(0))
 	}}
 }
 
-// BaseWFClear is the base algorithm with the §3.3 dummy-descriptor
-// enhancement (WithClearOnExit): finished operations drop their node
-// references so completed threads pin no queue memory. Its role is the
-// space-overhead experiment, where it isolates the "descriptor keeps a
-// dequeued node (and the chain behind it) live" effect the paper calls
-// out in §3.3.
+// BaseWFClear is Figure 10's third series, the base algorithm with the
+// §3.3 dummy-descriptor enhancement (finished operations drop their node
+// references so completed threads pin no queue memory). The in-place
+// operation records clear on every exit, so it now runs the same
+// configuration as BaseWF; the series is kept so the figure's columns
+// stay comparable with earlier snapshots.
 func BaseWFClear() Algorithm {
 	return Algorithm{Name: "base WF (clear)", New: func(n int) queues.Queue {
-		return core.New[int64](n, core.WithClearOnExit())
+		return core.New[int64](n)
 	}}
 }
 

@@ -157,6 +157,55 @@ func TestDeadlineSweepExpires(t *testing.T) {
 	}
 }
 
+// TestDeadlineEnforcedAtDelivery: with the sweeper frozen (nobody ticks),
+// an armed request dequeued after its deadline must not be delivered.
+// The dequeue expires it with the sweep's accounting and discards it as a
+// tombstone, and a later sweep does not count it twice.
+func TestDeadlineEnforcedAtDelivery(t *testing.T) {
+	r := NewRegistry[int64]()
+	q, _ := r.Create("q", Config{Backend: BackendRing})
+	s, err := q.Session()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Release()
+
+	req, err := s.Enqueue(7, time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(5 * time.Millisecond)
+	if v, ok := s.TryDequeue(); ok {
+		t.Fatalf("request delivered %v past its deadline", v)
+	}
+	select {
+	case <-req.Done():
+	default:
+		t.Fatal("expired request not completed by the dequeue")
+	}
+	if err := req.Err(); !errors.Is(err, wfq.ErrDeadlineExceeded) {
+		t.Fatalf("request error %v, want wfq.ErrDeadlineExceeded", err)
+	}
+	if n := q.Sweep(time.Now()); n != 0 {
+		t.Fatalf("later sweep expired %d, want 0", n)
+	}
+	st := q.Stats()
+	if st.Expired != 1 || st.Delivered != 0 || st.Depth != 0 || st.Inflight != 0 || st.Tombstones != 1 {
+		t.Fatalf("stats after expiry at delivery: %+v", st)
+	}
+	if r.Swept() != 0 {
+		t.Fatalf("registry counted %d tick expiries; the dequeue expired it", r.Swept())
+	}
+
+	// A request dequeued before its deadline is still delivered.
+	if _, err := s.Enqueue(8, time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := s.TryDequeue(); !ok || v != 8 {
+		t.Fatalf("(%d,%v), want (8,true)", v, ok)
+	}
+}
+
 // TestClockRoundTrip pins the package clock's conversions: an armed
 // request's Deadline lies between the enqueue's bracketing time.Now
 // readings plus the deadline, Sweep reads that Deadline back onto the

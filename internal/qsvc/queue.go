@@ -315,8 +315,11 @@ func (s *Session[T]) Enqueue(v T, deadline time.Duration) (*Req, error) {
 
 // accept resolves one dequeued envelope on session cell c: delivers
 // plain envelopes directly, claims armed ones with the conservation
-// CAS, and discards tombstones of swept requests. ok=false means "this
-// envelope carried nothing — keep dequeuing".
+// CAS, and discards tombstones of swept requests. An armed envelope
+// whose deadline has passed is expired here, as the sweep would have
+// (the sweep runs on a timer and may lag), and discarded like a
+// tombstone. ok=false means "this envelope carried nothing — keep
+// dequeuing".
 func (q *Queue[T]) accept(c *cell, e env[T]) (T, bool) {
 	now := clock()
 	if e.r == nil {
@@ -325,16 +328,19 @@ func (q *Queue[T]) accept(c *cell, e env[T]) (T, bool) {
 		c.delays.Observe(now - e.enq)
 		return e.v, true
 	}
-	if e.r.complete(stDelivered, nil) {
+	if e.r.deadline > now && e.r.complete(stDelivered, nil) {
 		q.dropDepth(c)
 		q.inflight.Add(-1)
 		c.delivered.Add(1)
 		c.delays.Observe(now - e.enq)
 		return e.v, true
 	}
-	// The sweep (or Delete) won the request: the element is a
-	// tombstone. Its accounting happened at the winning CAS; here we
-	// only count the physical discard.
+	// Past its deadline, or the sweep (or Delete) won the request: the
+	// element is a tombstone. Its accounting happens at the winning CAS;
+	// here we only count the physical discard.
+	if e.r.deadline <= now {
+		q.expire(e.r, nil)
+	}
 	c.tombstones.Add(1)
 	var zero T
 	return zero, false
@@ -398,19 +404,30 @@ func (q *Queue[T]) sweep(now int64, swept *atomic.Int64) (expired int) {
 		if top.deadline > now {
 			return expired
 		}
-		r := q.dl.popLocked()
-		if r.state.CompareAndSwap(stPending, stExpired) {
-			q.expired.Add(1)
-			q.inflight.Add(-1)
-			q.depth.Add(-1)
-			if swept != nil {
-				swept.Add(1)
-			}
+		if q.expire(q.dl.popLocked(), swept) {
 			expired++
-			r.finish(fmt.Errorf("request on %q: %w", q.name, wfq.ErrDeadlineExceeded))
 		}
 	}
 	return expired
+}
+
+// expire moves armed request r from pending to expired with the sweep's
+// accounting, and reports whether it won the conservation CAS (a
+// consumer, Delete or an earlier expiry may have completed r first).
+// swept, when non-nil, is bumped with q's own counters before the
+// producer wakes.
+func (q *Queue[T]) expire(r *Req, swept *atomic.Int64) bool {
+	if !r.state.CompareAndSwap(stPending, stExpired) {
+		return false
+	}
+	q.expired.Add(1)
+	q.inflight.Add(-1)
+	q.depth.Add(-1)
+	if swept != nil {
+		swept.Add(1)
+	}
+	r.finish(fmt.Errorf("request on %q: %w", q.name, wfq.ErrDeadlineExceeded))
+	return true
 }
 
 // Sweep runs one timeout sweep against the given time and reports how

@@ -33,7 +33,7 @@ const (
 	// KPAfterAppend fires just after a successful append CAS (Line 74),
 	// before help_finish_enq runs.
 	KPAfterAppend
-	// KPAfterStateCASEnq fires between the descriptor-completion CAS
+	// KPAfterStateCASEnq fires between the state-completion CAS
 	// (Line 93) and the tail-fixing CAS (Line 94) in help_finish_enq —
 	// the suspension window the paper's §3.2 argument is about.
 	KPAfterStateCASEnq
@@ -48,7 +48,7 @@ const (
 	KPBeforeDeqTidCAS
 	// KPAfterDeqTidCAS fires just after a successful deqTid CAS.
 	KPAfterDeqTidCAS
-	// KPAfterStateCASDeq fires between the descriptor-completion CAS
+	// KPAfterStateCASDeq fires between the state-completion CAS
 	// (Line 149) and the head-fixing CAS (Line 150) in help_finish_deq.
 	KPAfterStateCASDeq
 	// KPBeforeHeadCAS fires immediately before the head CAS (Line 150).
@@ -94,6 +94,14 @@ const (
 	// enqueuer's chain walk (advanceTailPastChain) — between these
 	// CASes concurrent helpers may have advanced tail into the chain.
 	KPChainBeforeSwing
+	// KPBeforeStage1CAS fires between a dequeue helper's record load
+	// (Line 126) and its Stage 1 version bump (Line 131) — a bump that
+	// lands after another helper claimed the sentinel is the window the
+	// Line 149 completion retry absorbs.
+	KPBeforeStage1CAS
+	// KPBeforeStateCASDeq fires between the record load (Line 146) and
+	// the completion CAS (Line 149) in help_finish_deq.
+	KPBeforeStateCASDeq
 	// MSBeforeAppend / MSBeforeHeadCAS are the analogous windows in the
 	// Michael–Scott baseline, used by its own race tests.
 	MSBeforeAppend
@@ -210,6 +218,7 @@ var pointNames = [numPoints]string{
 	"KPFastBeforeAppend", "KPFastAfterAppend",
 	"KPFastBeforeDeqTidCAS", "KPFastAfterDeqTidCAS",
 	"KPChainAfterAppend", "KPChainBeforeSwing",
+	"KPBeforeStage1CAS", "KPBeforeStateCASDeq",
 	"MSBeforeAppend", "MSBeforeHeadCAS",
 	"SHEnqTicket", "SHDeqTicket",
 	"WQPrepare", "WQBeforePark", "WQAfterWake", "WQNotify", "WQCloseBroadcast",

@@ -32,6 +32,13 @@ sh scripts/serve_smoke.sh
 go test -run='^$' -fuzz='^FuzzSharded$' -fuzztime=10s ./internal/sharded/
 go test -run='^$' -fuzz='^FuzzBatchCore$' -fuzztime=10s ./internal/core/
 go test -run='^$' -fuzz='^FuzzRing$' -fuzztime=10s ./internal/ring/
+# Interleaving smoke: a bounded random sample (seeded, so repeatable)
+# of a contended 3-thread dequeue program on the paper's base and Opt12
+# queues. Three dequeuers racing on one sentinel reach the post-claim
+# Stage 1 window of the in-place operation records (ALGORITHM.md); the
+# explorer exits nonzero on any non-linearizable or non-conserving run.
+go run ./cmd/wfqexplore -alg "base WF" -progs "e1,d,d;e2,d;d,e3" -initial 9 -random -max 50000
+go run ./cmd/wfqexplore -alg "opt WF (1+2)" -progs "e1,d,d;e2,d;d,e3" -initial 9 -random -max 50000
 # Wire decoders: arbitrary bytes never panic, and every accepted frame
 # re-encodes to a frame that decodes the same.
 go test -run='^$' -fuzz='^FuzzDecodeRequest$' -fuzztime=10s ./internal/qsvc/wire/

@@ -130,20 +130,8 @@ func WithHelpChunk(k int) Option { return engineOption(core.WithHelpChunk(k)) }
 // cyclic to random (probabilistic wait-freedom, §3.3).
 func WithRandomHelping() Option { return engineOption(core.WithRandomHelping()) }
 
-// WithClearOnExit makes finished operations drop their node references
-// so completed threads pin no queue memory.
-func WithClearOnExit() Option { return engineOption(core.WithClearOnExit()) }
-
-// WithDescriptorCache reuses descriptor allocations whose publication
-// CAS failed.
-func WithDescriptorCache() Option { return engineOption(core.WithDescriptorCache()) }
-
 // WithPhaseProvider overrides the Opt2/Opt12 phase source.
 func WithPhaseProvider(p phase.Provider) Option { return engineOption(core.WithPhaseProvider(p)) }
-
-// WithValidationChecks skips already-satisfied completion CASes (§3.3
-// performance-tuning enhancement).
-func WithValidationChecks() Option { return engineOption(core.WithValidationChecks()) }
 
 // WithMetrics attaches internal event counters (help traffic, CAS
 // failures); read them via the core Queue's Metrics method when

@@ -38,7 +38,7 @@ func TestFacadeVariants(t *testing.T) {
 		}
 	}
 	// Options compose.
-	q := New[int64](3, WithVariant(Base), WithClearOnExit(), WithDescriptorCache(), WithHelpChunk(2))
+	q := New[int64](3, WithVariant(Base), WithHelpChunk(2))
 	q.Enqueue(0, 5)
 	if v, ok := q.Dequeue(1); !ok || v != 5 {
 		t.Fatalf("(%d,%v)", v, ok)
