@@ -13,7 +13,7 @@ check:
 serve-smoke:
 	sh scripts/serve_smoke.sh
 
-# Queue-service acceptance sweep: Poisson arrival rates × {core, ring},
+# Queue-service acceptance sweep: Poisson arrival rates on the ring,
 # bursty overload against an admission cap, and the 10k-user closed
 # loop; committed as results/BENCH_qsvc.json.
 bench-qsvc:

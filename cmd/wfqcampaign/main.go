@@ -30,10 +30,20 @@
 //	    exactly that).
 //
 // The matrix flags: -variants (harness algorithm names), -workloads
-// (pairs, fifty, batchpairs, batchenq), -threads, -procs (GOMAXPROCS
-// values), -iters, -repeats, -profile, -batch (a comma list of batch
-// widths; each width of a batch workload gets its own documents). An
-// unknown variant or profile name fails with the list of valid names.
+// (pairs, fifty, batchpairs, batchenq, latency, spin, park), -threads,
+// -procs (GOMAXPROCS values), -iters, -repeats, -profile (default,
+// preempt, oversub, midop), -batch (a comma list of batch widths; each
+// width of a batch workload gets its own documents). An unknown variant
+// or profile name fails with the list of valid names.
+//
+// Every cell carries the per-thread completion spread and CV; metered
+// KP variants add help traffic per operation (scans, helps, CAS
+// failures, tail/head fixes). latency times every operation of the
+// pairs loop and records p50/p99/p99.9/max. spin and park run the
+// blocking-consumer workload (Threads producers and Threads consumers,
+// 2 s at a ~1% duty cycle, -iters unused) on lifecycle-capable variants
+// and record consumer CPU per delivered element and the delivery
+// latency percentiles.
 // Cells with threads > GOMAXPROCS are stamped oversubscribed and warned
 // about: they measure scheduler multiplexing, not parallelism.
 package main
@@ -53,12 +63,12 @@ func main() {
 	var (
 		out       = flag.String("out", "results", "directory for snapshots and SVG charts")
 		variants  = flag.String("variants", "opt WF (1+2),fast WF,sharded WF,ring LF,ring WF", "comma-separated harness algorithm names")
-		workloads = flag.String("workloads", "pairs,batchpairs", "comma-separated workloads: pairs, fifty, batchpairs, batchenq")
+		workloads = flag.String("workloads", "pairs,batchpairs", "comma-separated workloads: pairs, fifty, batchpairs, batchenq, latency, spin, park")
 		threads   = flag.String("threads", "1,2,4,8", "comma-separated thread counts")
 		procs     = flag.String("procs", "1,2,4,8", "comma-separated GOMAXPROCS values")
 		iters     = flag.Int("iters", 20000, "per-thread iteration budget (elements on batch workloads)")
 		repeats   = flag.Int("repeats", 3, "measured runs per cell")
-		profile   = flag.String("profile", "default", "base scheduler profile: default, preempt or oversub")
+		profile   = flag.String("profile", "default", "base scheduler profile: default, preempt, oversub or midop")
 		batch     = flag.String("batch", "", "comma-separated batch widths for the batch workloads (empty = default 8)")
 		quick     = flag.Bool("quick", false, "tiny smoke matrix (overrides the matrix flags)")
 		nocharts  = flag.Bool("nocharts", false, "skip SVG chart generation")

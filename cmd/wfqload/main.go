@@ -10,7 +10,7 @@
 //	wfqload -addr HOST:PORT -bench -json results/BENCH_qsvc.json
 //
 // -bench runs the committed snapshot matrix: a Poisson arrival-rate
-// sweep over the core and ring backends, a bursty run against a tight
+// sweep over the ring backend, a bursty run against a tight
 // admission cap, and a closed-loop run with -users simulated users
 // (default 10000). Every row carries the conservation verdict and the
 // server-side queue-delay percentiles; the document is stamped with the
@@ -40,7 +40,7 @@ func main() {
 	var (
 		addr      = flag.String("addr", "127.0.0.1:7411", "wfqserve address")
 		queue     = flag.String("queue", "load", "queue name to create and drive")
-		backend   = flag.String("backend", "ring", "backend: fast|core|ring|sharded|sharded-ring")
+		backend   = flag.String("backend", "ring", "backend: ring|sharded-ring")
 		profile   = flag.String("profile", "closed", "closed|poisson|bursty")
 		users     = flag.Int("users", 10000, "closed-loop simulated users")
 		rate      = flag.Float64("rate", 8000, "open-loop mean arrivals/sec")
@@ -139,22 +139,20 @@ func runBench(addr string, users int, dur time.Duration, jsonOut string) {
 		rows = append(rows, res)
 	}
 
-	// Poisson arrival-rate sweep × {core, ring}.
-	for _, backend := range []string{"core", "ring"} {
-		for _, rate := range []float64{2000, 8000, 32000} {
-			add(load.Config{
-				Addr:          addr,
-				Queue:         fmt.Sprintf("sweep-%s-%.0f", backend, rate),
-				Backend:       backend,
-				Profile:       "poisson",
-				Rate:          rate,
-				Duration:      dur,
-				Conns:         64,
-				Consumers:     16,
-				ArmedFraction: 0.1,
-				Deadline:      100 * time.Millisecond,
-			})
-		}
+	// Poisson arrival-rate sweep.
+	for _, rate := range []float64{2000, 8000, 32000} {
+		add(load.Config{
+			Addr:          addr,
+			Queue:         fmt.Sprintf("sweep-ring-%.0f", rate),
+			Backend:       "ring",
+			Profile:       "poisson",
+			Rate:          rate,
+			Duration:      dur,
+			Conns:         64,
+			Consumers:     16,
+			ArmedFraction: 0.1,
+			Deadline:      100 * time.Millisecond,
+		})
 	}
 	// Bursty overload against a tight admission cap: rejections are the
 	// expected, typed outcome; conservation must still hold.

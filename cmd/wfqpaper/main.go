@@ -4,11 +4,16 @@
 // Usage:
 //
 //	wfqpaper [-fig 7|8|9|10|all] [-iters N] [-repeats N] [-threads lo:hi]
-//	         [-chart] [-csv dir]
+//	         [-maxexp E] [-chart] [-csv dir]
 //
 // Each figure is printed as an aligned table (one panel per scheduler
 // profile for Figures 7–9), optionally followed by an ASCII chart, and
 // optionally written as CSV files for external plotting.
+//
+// Figure 10 sweeps initial queue sizes 10^0..10^maxexp (default 6);
+// -maxexp 7 matches the paper's 10^7 ceiling but needs several GiB.
+// Its series are base WF / LF, opt WF (1+2) / LF and ring WF / LF;
+// -repeats, when given, averages that many runs per size.
 package main
 
 import (
@@ -30,8 +35,12 @@ func main() {
 	threads := flag.String("threads", "", "thread sweep as lo:hi (default 1,2,4,8,12,16)")
 	chart := flag.Bool("chart", false, "print an ASCII chart after each table")
 	csvDir := flag.String("csv", "", "write each panel as CSV into this directory")
+	maxExp := flag.Int("maxexp", 6, "Figure 10: largest initial queue size as a power of ten (paper: 7)")
 	flag.Parse()
 
+	if *maxExp < 0 || *maxExp > 8 {
+		fatal(fmt.Errorf("maxexp %d out of range [0,8]", *maxExp))
+	}
 	p := figures.DefaultParams()
 	if *iters > 0 {
 		p.Iters = *iters
@@ -100,6 +109,10 @@ func main() {
 	}
 	if all || want["10"] {
 		sp := figures.DefaultSpaceParams()
+		sp.Sizes = figures.SpaceSizes(*maxExp)
+		if *repeats > 0 {
+			sp.Repeats = *repeats
+		}
 		tab, err := figures.Figure10(sp)
 		if err != nil {
 			fatal(err)

@@ -49,7 +49,6 @@ func main() {
 		"blocking sharded WF": "wait-free ops (per-shard FIFO), parking consumers",
 		"blocking ring WF":    "wait-free ops (ring segments), parking consumers",
 		"opt WF (1+2) rnd":    "wait-free (probabilistic)",
-		"base WF (clear)":     "wait-free",
 		"base WF+HP":          "wait-free, no GC needed",
 		"universal WF":        "wait-free (generic, unbounded log)",
 		"2-lock":              "blocking",

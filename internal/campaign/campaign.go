@@ -22,8 +22,10 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"time"
 
 	"wfq/internal/harness"
+	"wfq/internal/stats"
 )
 
 // Env stamps a snapshot with the machine and build that produced it.
@@ -57,7 +59,9 @@ type Spec struct {
 	// Variants are harness algorithm names (harness.ByName).
 	Variants []string
 	// Workloads are short workload names: pairs, fifty, batchpairs,
-	// batchenq.
+	// batchenq, latency (timed pairs), and the blocking-consumer
+	// workloads spin and park (harness.MeasureBlocking with Threads
+	// producers and Threads consumers; Iters does not apply).
 	Workloads []string
 	// Threads are the worker counts of each sweep (the x axis).
 	Threads []int
@@ -71,7 +75,7 @@ type Spec struct {
 	// Repeats is the number of measured runs per cell.
 	Repeats int
 	// Profile names the base scheduler profile ("default", "preempt",
-	// "oversub"); empty means default. The campaign overlays its
+	// "oversub", "midop"); empty means default. The campaign overlays its
 	// per-document GOMAXPROCS on top of it.
 	Profile string
 	// BatchKs are the batch widths of the batch workloads; each width
@@ -87,6 +91,15 @@ func (s Spec) logf(format string, args ...any) {
 	if s.Logf != nil {
 		s.Logf(format, args...)
 	}
+}
+
+// warn logs an oversubscribed cell and returns it unchanged.
+func (s Spec) warn(c Cell) Cell {
+	if c.Oversubscribed {
+		s.logf("campaign: WARNING: cell [%s %s threads=%d gomaxprocs=%d] is oversubscribed: it measures scheduler multiplexing, not parallelism",
+			c.Series, c.Workload, c.Threads, c.GOMAXPROCS)
+	}
+	return c
 }
 
 // Cell is one measured matrix cell. The three ops/sec fields derive from
@@ -119,6 +132,33 @@ type Cell struct {
 	BytesPerOp      float64 `json:"bytes_per_op"`
 	FastHits        int64   `json:"fast_hits,omitempty"`
 	FastFallbacks   int64   `json:"fast_fallbacks,omitempty"`
+	// Help traffic per operation, from the KP engines' event counters
+	// (omitted for variants built without core.WithMetrics): state-array
+	// entries scanned, helps given to other threads, failed append and
+	// descriptor CASes, and tail and head fixes executed.
+	ScansPerOp         float64 `json:"scans_per_op,omitempty"`
+	HelpsPerOp         float64 `json:"helps_per_op,omitempty"`
+	AppendCASFailPerOp float64 `json:"append_cas_fail_per_op,omitempty"`
+	DescCASFailPerOp   float64 `json:"desc_cas_fail_per_op,omitempty"`
+	TailFixesPerOp     float64 `json:"tail_fixes_per_op,omitempty"`
+	HeadFixesPerOp     float64 `json:"head_fixes_per_op,omitempty"`
+	// ThreadSpread and ThreadCV are the per-worker completion spread
+	// (max/min) and coefficient of variation of the last repeat.
+	ThreadSpread float64 `json:"thread_spread,omitempty"`
+	ThreadCV     float64 `json:"thread_cv,omitempty"`
+	// Latency percentiles of the last repeat: per operation on the
+	// latency workload, enqueue to delivery on spin and park.
+	Samples int   `json:"samples,omitempty"`
+	P50Ns   int64 `json:"p50_ns,omitempty"`
+	P99Ns   int64 `json:"p99_ns,omitempty"`
+	P999Ns  int64 `json:"p999_ns,omitempty"`
+	MaxNs   int64 `json:"max_ns,omitempty"`
+	// Blocking workloads only: elements through the queue in the last
+	// repeat, and the consumers' CPU per delivered element (process CPU
+	// minus a producers-only calibration run), median over repeats.
+	Produced           int64   `json:"produced,omitempty"`
+	Delivered          int64   `json:"delivered,omitempty"`
+	ConsumerCPUNsPerOp float64 `json:"consumer_cpu_ns_per_op,omitempty"`
 }
 
 // FastHitRatio reports the fraction of operations the fast path absorbed,
@@ -176,9 +216,18 @@ func ParseWorkload(name string) (harness.Workload, error) {
 		return harness.BatchPairs, nil
 	case "batchenq", "batch-enq":
 		return harness.BatchEnq, nil
+	case "latency":
+		return harness.Latency, nil
 	default:
-		return 0, fmt.Errorf("campaign: unknown workload %q (want pairs, fifty, batchpairs or batchenq)", name)
+		return 0, fmt.Errorf("campaign: unknown workload %q (want pairs, fifty, batchpairs, batchenq, latency, spin or park)", name)
 	}
+}
+
+// blockingModes maps the blocking-consumer workload names onto
+// harness.MeasureBlocking modes.
+var blockingModes = map[string]harness.BlockingMode{
+	"spin": harness.BlockingSpin,
+	"park": harness.BlockingPark,
 }
 
 // WorkloadShort maps a harness workload back to its short campaign name.
@@ -192,6 +241,8 @@ func WorkloadShort(w harness.Workload) string {
 		return "batchpairs"
 	case harness.BatchEnq:
 		return "batchenq"
+	case harness.Latency:
+		return "latency"
 	default:
 		return fmt.Sprintf("workload%d", int(w))
 	}
@@ -259,13 +310,9 @@ func Run(spec Spec) ([]*Doc, error) {
 	if profName == "" {
 		profName = "default"
 	}
-	baseProf, ok := harness.ProfileByName(profName)
-	if !ok {
-		var names []string
-		for _, p := range harness.Profiles() {
-			names = append(names, p.Name)
-		}
-		return nil, fmt.Errorf("campaign: unknown profile %q (valid: %s)", profName, strings.Join(names, ", "))
+	baseProf, err := harness.ProfileByName(profName)
+	if err != nil {
+		return nil, fmt.Errorf("campaign: %w", err)
 	}
 	shardsByAlg := map[string]int{}
 	for _, a := range algs {
@@ -275,8 +322,45 @@ func Run(spec Spec) ([]*Doc, error) {
 	procs := append([]int(nil), spec.Procs...)
 	sort.Ints(procs)
 
+	// newDoc starts the document of one (workload, batch width,
+	// GOMAXPROCS) point.
+	newDoc := func(workload string, k, iters, p int) *Doc {
+		d := &Doc{
+			SchemaVersion: SchemaVersion,
+			Workload:      workload,
+			GOMAXPROCS:    p,
+			Profile:       profName,
+			Iters:         iters,
+			Repeats:       spec.Repeats,
+			BatchK:        k,
+			Env:           env,
+		}
+		d.Campaign = fmt.Sprintf("%s_g%d", d.stem(), p)
+		return d
+	}
+
 	var docs []*Doc
 	for _, wlName := range spec.Workloads {
+		if mode, ok := blockingModes[wlName]; ok {
+			for _, p := range procs {
+				doc := newDoc(wlName, 0, spec.Iters, p)
+				prof := baseProf
+				prof.GOMAXPROCS = p
+				spec.logf("campaign: measuring %s (%d variants × %d thread counts × %d repeats of %v)",
+					doc.Campaign, len(algs), len(spec.Threads), spec.Repeats, blockingDuration)
+				for _, a := range algs {
+					for _, n := range spec.Threads {
+						c, err := blockingCell(a, n, prof, mode, spec.Repeats)
+						if err != nil {
+							return nil, fmt.Errorf("campaign: %s: %s @%d threads: %w", doc.Campaign, a.Name, n, err)
+						}
+						doc.Cells = append(doc.Cells, spec.warn(c))
+					}
+				}
+				docs = append(docs, doc)
+			}
+			continue
+		}
 		w, err := ParseWorkload(wlName)
 		if err != nil {
 			return nil, err
@@ -294,17 +378,7 @@ func Run(spec Spec) ([]*Doc, error) {
 				}
 			}
 			for _, p := range procs {
-				doc := &Doc{
-					SchemaVersion: SchemaVersion,
-					Workload:      WorkloadShort(w),
-					GOMAXPROCS:    p,
-					Profile:       profName,
-					Iters:         iters,
-					Repeats:       spec.Repeats,
-					BatchK:        k,
-					Env:           env,
-				}
-				doc.Campaign = fmt.Sprintf("%s_g%d", doc.stem(), p)
+				doc := newDoc(WorkloadShort(w), k, iters, p)
 				prof := baseProf
 				prof.GOMAXPROCS = p
 				spec.logf("campaign: measuring %s (%d variants × %d thread counts × %d repeats)",
@@ -316,12 +390,7 @@ func Run(spec Spec) ([]*Doc, error) {
 					return nil, fmt.Errorf("campaign: %s: %w", doc.Campaign, err)
 				}
 				for _, pt := range pts {
-					c := cellFromPoint(pt, doc.Workload, shardsByAlg[pt.Algorithm])
-					if c.Oversubscribed {
-						spec.logf("campaign: WARNING: cell [%s %s threads=%d gomaxprocs=%d] is oversubscribed: it measures scheduler multiplexing, not parallelism",
-							c.Series, c.Workload, c.Threads, c.GOMAXPROCS)
-					}
-					doc.Cells = append(doc.Cells, c)
+					doc.Cells = append(doc.Cells, spec.warn(cellFromPoint(pt, doc.Workload, shardsByAlg[pt.Algorithm])))
 				}
 				docs = append(docs, doc)
 			}
@@ -339,25 +408,102 @@ func cellFromPoint(pt harness.SweepPoint, workload string, shards int) Cell {
 		}
 		return totalOps / sec
 	}
-	return Cell{
-		Series:          pt.Algorithm,
-		Workload:        workload,
-		Threads:         pt.Threads,
-		GOMAXPROCS:      pt.GOMAXPROCS,
-		Oversubscribed:  pt.Threads > pt.GOMAXPROCS,
-		Shards:          shards,
-		Iters:           pt.Iters,
-		OpsPerIter:      pt.OpsPerIter,
-		SecMean:         pt.Summary.Mean,
-		SecStd:          pt.Summary.Std,
-		SecMin:          pt.Summary.Min,
-		SecMedian:       pt.Summary.Median,
-		OpsPerSec:       ops(pt.Summary.Mean),
-		OpsPerSecMedian: ops(pt.Summary.Median),
-		OpsPerSecMin:    ops(pt.Summary.Min),
-		AllocsPerOp:     pt.AllocsPerOp,
-		BytesPerOp:      pt.BytesPerOp,
-		FastHits:        pt.Metrics.FastHits(),
-		FastFallbacks:   pt.Metrics.FastFallbacks,
+	perOp := func(n int64) float64 { return float64(n) / totalOps }
+	m := pt.Metrics
+	c := Cell{
+		Series:             pt.Algorithm,
+		Workload:           workload,
+		Threads:            pt.Threads,
+		GOMAXPROCS:         pt.GOMAXPROCS,
+		Oversubscribed:     pt.Threads > pt.GOMAXPROCS,
+		Shards:             shards,
+		Iters:              pt.Iters,
+		OpsPerIter:         pt.OpsPerIter,
+		SecMean:            pt.Summary.Mean,
+		SecStd:             pt.Summary.Std,
+		SecMin:             pt.Summary.Min,
+		SecMedian:          pt.Summary.Median,
+		OpsPerSec:          ops(pt.Summary.Mean),
+		OpsPerSecMedian:    ops(pt.Summary.Median),
+		OpsPerSecMin:       ops(pt.Summary.Min),
+		AllocsPerOp:        pt.AllocsPerOp,
+		BytesPerOp:         pt.BytesPerOp,
+		FastHits:           m.FastHits(),
+		FastFallbacks:      m.FastFallbacks,
+		ScansPerOp:         perOp(m.HelpScans),
+		HelpsPerOp:         perOp(m.HelpsGiven),
+		AppendCASFailPerOp: perOp(m.AppendCASFailures),
+		DescCASFailPerOp:   perOp(m.DescCASFailures),
+		TailFixesPerOp:     perOp(m.TailFixes),
+		HeadFixesPerOp:     perOp(m.HeadFixes),
+		ThreadSpread:       pt.ThreadSpread,
+		ThreadCV:           pt.ThreadCV,
 	}
+	c.setLatency(pt.Latency)
+	return c
+}
+
+// setLatency copies a latency summary into the cell.
+func (c *Cell) setLatency(p harness.Percentiles) {
+	c.Samples = p.Samples
+	c.P50Ns, c.P99Ns, c.P999Ns, c.MaxNs = int64(p.P50), int64(p.P99), int64(p.P999), int64(p.Max)
+}
+
+// The blocking workloads' fixed shape: every blockingInterval each
+// producer enqueues blockingBurst timestamped elements, for
+// blockingDuration — a duty cycle near 1%, the regime where a consumer's
+// idle cost is what matters.
+const (
+	blockingDuration = 2 * time.Second
+	blockingInterval = time.Millisecond
+	blockingBurst    = 10
+)
+
+// blockingCell measures one spin or park cell: Threads producers and
+// Threads consumers, one producers-only calibration run whose CPU is
+// subtracted from each measured run, then repeats measured runs. The
+// throughput fields are delivered elements per wall second (OpsPerSecMin
+// is the best repeat's, matching its min-time derivation elsewhere).
+func blockingCell(alg harness.Algorithm, threads int, prof harness.Profile, mode harness.BlockingMode, repeats int) (Cell, error) {
+	cfg := harness.BlockingConfig{
+		Producers: threads, Consumers: threads,
+		Duration: blockingDuration, Interval: blockingInterval, Burst: blockingBurst,
+		Profile: prof,
+	}
+	calib, err := harness.MeasureBlocking(alg, cfg, harness.BlockingProducersOnly)
+	if err != nil {
+		return Cell{}, err
+	}
+	walls := make([]time.Duration, 0, repeats)
+	var rates, cpuPerOp []float64
+	var last harness.BlockingResult
+	for r := 0; r < repeats; r++ {
+		if last, err = harness.MeasureBlocking(alg, cfg, mode); err != nil {
+			return Cell{}, err
+		}
+		walls = append(walls, last.Wall)
+		rates = append(rates, float64(last.Delivered)/last.Wall.Seconds())
+		cpuPerOp = append(cpuPerOp, float64(max(last.CPU-calib.CPU, 0))/float64(max(last.Delivered, 1)))
+	}
+	ws, rs, cs := stats.SummarizeDurations(walls), stats.Summarize(rates), stats.Summarize(cpuPerOp)
+	c := Cell{
+		Series:             alg.Name,
+		Workload:           mode.String(),
+		Threads:            threads,
+		GOMAXPROCS:         last.GOMAXPROCS,
+		Oversubscribed:     threads > last.GOMAXPROCS,
+		Shards:             alg.Shards,
+		SecMean:            ws.Mean,
+		SecStd:             ws.Std,
+		SecMin:             ws.Min,
+		SecMedian:          ws.Median,
+		OpsPerSec:          rs.Mean,
+		OpsPerSecMedian:    rs.Median,
+		OpsPerSecMin:       rs.Max,
+		Produced:           last.Produced,
+		Delivered:          last.Delivered,
+		ConsumerCPUNsPerOp: cs.Median,
+	}
+	c.setLatency(last.Percentiles)
+	return c, nil
 }

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -214,5 +215,98 @@ func TestWorkloadNamesRoundTrip(t *testing.T) {
 		if got := WorkloadShort(w); got != name {
 			t.Errorf("WorkloadShort(ParseWorkload(%q)) = %q", name, got)
 		}
+	}
+}
+
+// TestLatencyCell: the latency workload times every operation, and its
+// cell carries ordered percentiles next to the usual throughput fields.
+func TestLatencyCell(t *testing.T) {
+	docs, err := Run(Spec{
+		Variants: []string{"opt WF (1+2)"}, Workloads: []string{"latency"},
+		Threads: []int{2}, Procs: []int{2}, Iters: 500, Repeats: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := docs[0].Cells[0]
+	if c.Workload != "latency" || c.Samples != 2*2*500 {
+		t.Fatalf("cell %+v: want 2000 samples of workload latency", c)
+	}
+	if !(0 < c.P50Ns && c.P50Ns <= c.P99Ns && c.P99Ns <= c.P999Ns && c.P999Ns <= c.MaxNs) {
+		t.Fatalf("percentiles not ordered: p50=%d p99=%d p999=%d max=%d", c.P50Ns, c.P99Ns, c.P999Ns, c.MaxNs)
+	}
+	if c.OpsPerSecMedian <= 0 || c.ThreadSpread < 1 {
+		t.Fatalf("cell %+v: missing throughput or fairness", c)
+	}
+}
+
+// TestHelpCountersPerOp: a metered KP variant reports its help traffic
+// per operation; the unmetered LF baseline omits the fields entirely.
+func TestHelpCountersPerOp(t *testing.T) {
+	docs, err := Run(Spec{
+		Variants: []string{"opt WF (1+2)", "LF"}, Workloads: []string{"pairs"},
+		Threads: []int{2}, Procs: []int{2}, Iters: 2000, Repeats: 1, Profile: "midop",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wf, lf := docs[0].Cells[0], docs[0].Cells[1]
+	if wf.ScansPerOp <= 0 || wf.TailFixesPerOp <= 0 || wf.HeadFixesPerOp <= 0 {
+		t.Fatalf("opt WF (1+2) help counters missing: %+v", wf)
+	}
+	buf, err := json.Marshal(lf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"scans_per_op", "helps_per_op", "append_cas_fail_per_op", "desc_cas_fail_per_op", "tail_fixes_per_op", "head_fixes_per_op"} {
+		if strings.Contains(string(buf), key) {
+			t.Errorf("LF cell carries %s: %s", key, buf)
+		}
+	}
+}
+
+// TestParkCellConservesAndRemeasures: a park cell delivers everything
+// produced with a delivery-latency sample, and the live gate's
+// re-measurement dispatches it through Run like any other cell.
+func TestParkCellConservesAndRemeasures(t *testing.T) {
+	if testing.Short() {
+		t.Skip("blocking cells run for seconds")
+	}
+	base, err := Run(Spec{
+		Variants: []string{"blocking WF"}, Workloads: []string{"park"},
+		Threads: []int{1}, Procs: []int{2}, Iters: 1, Repeats: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := base[0].Cells[0]
+	if c.Workload != "park" || c.Produced == 0 || c.Delivered != c.Produced || c.Samples == 0 {
+		t.Fatalf("park cell %+v: want delivered == produced > 0 and a latency sample", c)
+	}
+	if c.OpsPerSecMedian <= 0 || c.P50Ns <= 0 || c.MaxNs < c.P99Ns {
+		t.Fatalf("park cell %+v: missing rate or percentiles", c)
+	}
+	cand, err := Remeasure(base, 0, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Compare(base, cand, GateOptions{Tolerance: 0.99})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Compared != 1 {
+		t.Fatalf("park cell not re-measured: %s", rep.Summary())
+	}
+}
+
+// TestBlockingWorkloadNeedsLifecycle: spin and park reject a variant
+// without the blocking/lifecycle API by name.
+func TestBlockingWorkloadNeedsLifecycle(t *testing.T) {
+	_, err := Run(Spec{
+		Variants: []string{"LF"}, Workloads: []string{"spin"},
+		Threads: []int{1}, Procs: []int{1}, Iters: 1, Repeats: 1,
+	})
+	if err == nil || !strings.Contains(err.Error(), "LF") {
+		t.Fatalf("spin on LF: %v", err)
 	}
 }

@@ -160,3 +160,22 @@ func TestLoadDirRejectsEmpty(t *testing.T) {
 		t.Fatal("LoadDir of an empty dir must error: an empty baseline would make the gate pass vacuously")
 	}
 }
+
+// TestGoldenSnapshotSelfGates: a snapshot written before the help,
+// fairness, latency and blocking fields existed still loads and gates
+// cleanly against itself — every cell matched, none regressed.
+func TestGoldenSnapshotSelfGates(t *testing.T) {
+	d := golden(t)
+	rep, err := Compare([]*Doc{d}, []*Doc{d}, GateOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Failed() || rep.Compared != len(d.Cells) {
+		t.Fatalf("golden self-gate: %s", rep.Summary())
+	}
+	for _, c := range d.Cells {
+		if c.Samples != 0 || c.ThreadSpread != 0 || c.ScansPerOp != 0 || c.Delivered != 0 {
+			t.Fatalf("pre-change cell %s decoded new fields: %+v", c.Series, c)
+		}
+	}
+}

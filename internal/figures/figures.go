@@ -126,45 +126,43 @@ type SpaceParams struct {
 	Config harness.SpaceConfig
 }
 
-// DefaultSpaceParams covers 10^0..10^6 (10^7 needs several GiB of nodes;
-// raise with a flag on big hosts), 8 threads and 9 GC samples as in the
-// paper.
-func DefaultSpaceParams() SpaceParams {
+// SpaceSizes returns the powers of ten 10^0..10^maxExp.
+func SpaceSizes(maxExp int) []int {
 	sizes := []int{1}
-	for len(sizes) < 7 {
-		sizes = append(sizes, sizes[len(sizes)-1]*10)
+	for e := 1; e <= maxExp; e++ {
+		sizes = append(sizes, sizes[e-1]*10)
 	}
+	return sizes
+}
+
+// DefaultSpaceParams covers 10^0..10^6 (10^7 needs several GiB of nodes;
+// raise it on big hosts), 8 threads and 9 GC samples as in the paper.
+func DefaultSpaceParams() SpaceParams {
 	return SpaceParams{
-		Sizes:   sizes,
+		Sizes:   SpaceSizes(6),
 		Repeats: 1,
 		Config:  harness.DefaultSpaceConfig(0),
 	}
 }
 
 // Figure10 reproduces the live-heap ratio series base-WF/LF and
-// opt-WF(1+2)/LF as a function of the initial queue size.
+// opt-WF(1+2)/LF as a function of the initial queue size, plus
+// ring-WF/LF: the ring's slot segments against the paper's per-node
+// overhead, on the figure that asks the space question.
 func Figure10(p SpaceParams) (*report.Table, error) {
 	tab := report.NewTable(
-		"Figure 10: live space size ratio vs LF (enqueue-dequeue pairs, 8 threads)",
+		fmt.Sprintf("Figure 10: live space size ratio vs LF (enqueue-dequeue pairs, %d threads)", p.Config.Threads),
 		"queue size", "ratio",
-		[]string{"base WF / LF", "opt WF (1+2) / LF", "base WF (clear) / LF"})
+		[]string{"base WF / LF", "opt WF (1+2) / LF", "ring WF / LF"})
 	pts, err := harness.SpaceSweep(p.Sizes, p.Config, p.Repeats)
 	if err != nil {
 		return nil, err
 	}
 	for _, pt := range pts {
-		var series string
-		switch pt.Algorithm {
-		case "base WF":
-			series = "base WF / LF"
-		case "opt WF (1+2)":
-			series = "opt WF (1+2) / LF"
-		case "base WF (clear)":
-			series = "base WF (clear) / LF"
-		default:
+		if pt.Algorithm == "LF" {
 			continue // the LF row defines the denominator only
 		}
-		tab.Set(sizeLabel(pt.InitialSize), series, report.Cell{Value: pt.Ratio})
+		tab.Set(sizeLabel(pt.InitialSize), pt.Algorithm+" / LF", report.Cell{Value: pt.Ratio})
 	}
 	return tab, nil
 }

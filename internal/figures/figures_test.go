@@ -87,6 +87,9 @@ func TestFigure10Shape(t *testing.T) {
 	if !ok || big.Value <= 1.0 {
 		t.Fatalf("large-queue WF/LF ratio %v (ok=%v): per-node overhead invisible", big, ok)
 	}
+	if r, ok := tab.Get("10^5", "ring WF / LF"); !ok || r.Value <= 0 {
+		t.Fatalf("ring WF / LF series: %v (ok=%v)", r, ok)
+	}
 }
 
 func TestSizeLabel(t *testing.T) {

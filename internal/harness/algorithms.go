@@ -53,17 +53,17 @@ func LF() Algorithm {
 	}}
 }
 
-// BaseWF is the paper's base algorithm (§3.2).
+// BaseWF is the paper's base algorithm (§3.2). Like the opt-WF
+// constructors it enables the event counters, so the campaign cells
+// report help traffic (the counters cost one predictable nil-check +
+// atomic add per event).
 func BaseWF() Algorithm {
 	return Algorithm{Name: "base WF", New: func(n int) queues.Queue {
-		return core.New[int64](n)
+		return core.New[int64](n, core.WithMetrics())
 	}}
 }
 
-// OptWF1 applies only optimization 1 (help-one, cyclic). The opt-WF
-// constructors also enable the event counters, so the bench summaries
-// can report help traffic (the counters cost one predictable nil-check +
-// atomic add per event).
+// OptWF1 applies only optimization 1 (help-one, cyclic).
 func OptWF1() Algorithm {
 	return Algorithm{Name: "opt WF (1)", New: func(n int) queues.Queue {
 		return core.New[int64](n, core.WithVariant(core.VariantOpt1), core.WithMetrics())
@@ -205,18 +205,6 @@ func BlockingShardedWF() Algorithm {
 	}}
 }
 
-// BaseWFClear is Figure 10's third series, the base algorithm with the
-// §3.3 dummy-descriptor enhancement (finished operations drop their node
-// references so completed threads pin no queue memory). The in-place
-// operation records clear on every exit, so it now runs the same
-// configuration as BaseWF; the series is kept so the figure's columns
-// stay comparable with earlier snapshots.
-func BaseWFClear() Algorithm {
-	return Algorithm{Name: "base WF (clear)", New: func(n int) queues.Queue {
-		return core.New[int64](n)
-	}}
-}
-
 // OptWF12Random is opt WF (1+2) with the §3.3 random-candidate helping
 // alternative ("achieving probabilistic wait-freedom"); extended
 // benchmarks only.
@@ -282,7 +270,7 @@ func AllAlgorithms() []Algorithm {
 		LF(), BaseWF(), OptWF1(), OptWF2(), OptWF12(), FastWF(),
 		FastWFArena(), RingWF(), RingLF(), ShardedWF(), ShardedRingWF(),
 		BlockingWF(), BlockingShardedWF(), BlockingRingWF(),
-		OptWF12Random(), BaseWFClear(), WFHP(),
+		OptWF12Random(), WFHP(),
 		FastWFHP(), ShardedWFHP(), LFHP(), Universal(), TwoLock(), Mutex(),
 	}
 }

@@ -3,13 +3,12 @@ package harness
 import (
 	"context"
 	"fmt"
-	"sort"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"wfq/internal/queues"
-	"wfq/internal/stats"
 )
 
 // BlockingMode selects the consumer strategy of a blocking-workload
@@ -58,6 +57,9 @@ type BlockingConfig struct {
 	// (1ms, 10) land near 1% at this repo's ~µs enqueue cost.
 	Interval time.Duration
 	Burst    int
+	// Profile disturbs scheduling during the run; its GOMAXPROCS and
+	// BackgroundLoad apply as in RunMeasured.
+	Profile Profile
 }
 
 func (c BlockingConfig) withDefaults() BlockingConfig {
@@ -93,10 +95,11 @@ type BlockingResult struct {
 	// platform cannot report it.
 	CPU          time.Duration
 	CPUSupported bool
-	// P50/P99/Max summarize delivery latency — enqueue timestamp to
+	// GOMAXPROCS is the effective scheduler width during the run.
+	GOMAXPROCS int
+	// Percentiles summarize delivery latency — enqueue timestamp to
 	// dequeue, which in park mode is dominated by the park→wake path.
-	Samples       int
-	P50, P99, Max time.Duration
+	Percentiles
 }
 
 // String renders one report row.
@@ -133,6 +136,10 @@ func MeasureBlocking(alg Algorithm, cfg BlockingConfig, mode BlockingMode) (Bloc
 	var produced, delivered atomic.Int64
 	perConsumer := make([][]float64, cfg.Consumers)
 	var prodWG, consWG sync.WaitGroup
+
+	restore := cfg.Profile.apply()
+	defer restore()
+	effProcs := runtime.GOMAXPROCS(0)
 
 	cpu0, cpuOK := processCPU()
 	t0 := time.Now()
@@ -227,18 +234,13 @@ func MeasureBlocking(alg Algorithm, cfg BlockingConfig, mode BlockingMode) (Bloc
 		Wall:         wall,
 		CPU:          cpu1 - cpu0,
 		CPUSupported: cpuOK && cpuOK2,
+		GOMAXPROCS:   effProcs,
 	}
 	var all []float64
 	for _, l := range perConsumer {
 		all = append(all, l...)
 	}
-	sort.Float64s(all)
-	res.Samples = len(all)
-	if len(all) > 0 {
-		res.P50 = time.Duration(stats.Percentile(all, 50))
-		res.P99 = time.Duration(stats.Percentile(all, 99))
-		res.Max = time.Duration(all[len(all)-1])
-	}
+	res.Percentiles = percentiles(all)
 	if mode != BlockingProducersOnly && res.Delivered != res.Produced {
 		return res, fmt.Errorf("harness: blocking conservation: produced=%d delivered=%d", res.Produced, res.Delivered)
 	}

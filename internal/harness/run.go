@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"runtime"
+	"sort"
 	"sync"
 	"time"
 
@@ -38,6 +39,12 @@ const (
 	// linearizing CAS per batch) from the dequeue side, whose claims are
 	// per-element by design.
 	BatchEnq
+	// Latency is Pairs with every operation timed: each worker records
+	// its enqueue and dequeue latencies into a slice allocated before
+	// the start gate, and the run reports their percentiles — the
+	// "strict deadlines for operation completion" view of the paper's
+	// motivation (§1). 2·iters operations per thread.
+	Latency
 )
 
 // String names the workload as the paper does.
@@ -51,6 +58,8 @@ func (w Workload) String() string {
 		return "batch pairs"
 	case BatchEnq:
 		return "batch enqueues"
+	case Latency:
+		return "timed pairs"
 	default:
 		return fmt.Sprintf("Workload(%d)", int(w))
 	}
@@ -97,7 +106,7 @@ func (c Config) batchK() int {
 // throughput denominator.
 func (c Config) OpsPerIter() int {
 	switch c.Workload {
-	case Pairs:
+	case Pairs, Latency:
 		return 2
 	case BatchPairs:
 		return 2 * c.batchK()
@@ -144,6 +153,32 @@ type Result struct {
 	// when the algorithm was not built with core.WithMetrics (all the
 	// HP variants, and the baselines).
 	Metrics core.Snapshot
+	// ThreadSpread and ThreadCV describe how evenly the workers finish
+	// their fixed share: max/min of the per-worker completion times (1.0
+	// is perfectly fair) and their coefficient of variation. Under a
+	// lock-free queue an unlucky thread can fall arbitrarily far behind;
+	// wait-free helping drags stragglers along. Each worker reads the
+	// clock once, when its loop ends.
+	ThreadSpread, ThreadCV float64
+	// Latency holds the per-operation latency percentiles of the Latency
+	// workload; zero on the other workloads.
+	Latency Percentiles
+}
+
+// Percentiles summarizes a latency sample.
+type Percentiles struct {
+	Samples             int
+	P50, P99, P999, Max time.Duration
+}
+
+// percentiles sorts xs (nanoseconds) in place and summarizes it.
+func percentiles(xs []float64) Percentiles {
+	if len(xs) == 0 {
+		return Percentiles{}
+	}
+	sort.Float64s(xs)
+	at := func(p float64) time.Duration { return time.Duration(stats.Percentile(xs, p)) }
+	return Percentiles{Samples: len(xs), P50: at(50), P99: at(99), P999: at(99.9), Max: at(100)}
 }
 
 // Run executes one measured run of alg under cfg and returns the total
@@ -170,6 +205,9 @@ func RunMeasured(alg Algorithm, cfg Config) (Result, error) {
 	effProcs := runtime.GOMAXPROCS(0)
 
 	var start, done sync.WaitGroup
+	var t0 time.Time
+	finish := make([]time.Duration, cfg.Threads)
+	lats := make([][]float64, cfg.Threads)
 	gate := make(chan struct{})
 	start.Add(cfg.Threads)
 	done.Add(cfg.Threads)
@@ -179,9 +217,13 @@ func RunMeasured(alg Algorithm, cfg Config) (Result, error) {
 			rng := xrand.New(cfg.Seed*1_000_003 + uint64(tid))
 			k := cfg.batchK()
 			var vs, dst []int64
-			if cfg.Workload == BatchPairs || cfg.Workload == BatchEnq {
+			var lat []float64
+			switch cfg.Workload {
+			case BatchPairs, BatchEnq:
 				vs = make([]int64, k)
 				dst = make([]int64, k)
+			case Latency:
+				lat = make([]float64, 0, 2*cfg.Iters)
 			}
 			start.Done()
 			<-gate
@@ -201,6 +243,17 @@ func RunMeasured(alg Algorithm, cfg Config) (Result, error) {
 					q.Enqueue(tid, int64(tid)<<32|int64(i))
 					maybeYield()
 					q.Dequeue(tid)
+					maybeYield()
+				}
+			case Latency:
+				for i := 0; i < cfg.Iters; i++ {
+					t := time.Now()
+					q.Enqueue(tid, int64(tid)<<32|int64(i))
+					lat = append(lat, float64(time.Since(t)))
+					maybeYield()
+					t = time.Now()
+					q.Dequeue(tid)
+					lat = append(lat, float64(time.Since(t)))
 					maybeYield()
 				}
 			case Fifty:
@@ -249,6 +302,8 @@ func RunMeasured(alg Algorithm, cfg Config) (Result, error) {
 					maybeYield()
 				}
 			}
+			finish[tid] = time.Since(t0)
+			lats[tid] = lat
 		}(w)
 	}
 	start.Wait()
@@ -257,7 +312,7 @@ func RunMeasured(alg Algorithm, cfg Config) (Result, error) {
 	// the measured window.
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	t0 := time.Now()
+	t0 = time.Now()
 	close(gate)
 	done.Wait()
 	elapsed := time.Since(t0)
@@ -267,6 +322,20 @@ func RunMeasured(alg Algorithm, cfg Config) (Result, error) {
 	totalOps := float64(cfg.Threads) * float64(cfg.Iters) * float64(cfg.OpsPerIter())
 	res.AllocsPerOp = float64(m1.Mallocs-m0.Mallocs) / totalOps
 	res.BytesPerOp = float64(m1.TotalAlloc-m0.TotalAlloc) / totalOps
+	secs := make([]float64, len(finish))
+	for i, d := range finish {
+		secs[i] = d.Seconds()
+	}
+	if fs := stats.Summarize(secs); fs.Min > 0 {
+		res.ThreadSpread, res.ThreadCV = fs.Max/fs.Min, fs.Std/fs.Mean
+	}
+	if cfg.Workload == Latency {
+		var all []float64
+		for _, l := range lats {
+			all = append(all, l...)
+		}
+		res.Latency = percentiles(all)
+	}
 	switch m := q.(type) {
 	case interface{ Metrics() *core.Metrics }:
 		if met := m.Metrics(); met != nil {
@@ -290,26 +359,28 @@ func Repeat(alg Algorithm, cfg Config, times int) (stats.Summary, error) {
 }
 
 // RepeatMeasured is Repeat with the measurement side retained: the
-// returned Result carries the across-run means of AllocsPerOp and
-// BytesPerOp and the event counters of the LAST run (each run builds a
-// fresh queue, so counters do not accumulate across runs).
+// returned Result is the LAST run's — its event counters, fairness and
+// latency observations (each run builds a fresh queue, so counters do
+// not accumulate across runs) — except AllocsPerOp and BytesPerOp, which
+// are the across-run means.
 func RepeatMeasured(alg Algorithm, cfg Config, times int) (stats.Summary, Result, error) {
 	if times <= 0 {
 		return stats.Summary{}, Result{}, fmt.Errorf("harness: times must be positive, got %d", times)
 	}
 	ds := make([]time.Duration, 0, times)
 	var agg Result
+	var allocs, bytes float64
 	for r := 0; r < times; r++ {
 		res, err := RunMeasured(alg, cfg)
 		if err != nil {
 			return stats.Summary{}, Result{}, err
 		}
 		ds = append(ds, res.Elapsed)
-		agg.AllocsPerOp += res.AllocsPerOp / float64(times)
-		agg.BytesPerOp += res.BytesPerOp / float64(times)
-		agg.Metrics = res.Metrics
-		agg.GOMAXPROCS = res.GOMAXPROCS
+		allocs += res.AllocsPerOp
+		bytes += res.BytesPerOp
+		agg = res
 	}
+	agg.AllocsPerOp, agg.BytesPerOp = allocs/float64(times), bytes/float64(times)
 	return stats.SummarizeDurations(ds), agg, nil
 }
 
@@ -324,16 +395,11 @@ type SweepPoint struct {
 	// width to hold the element count constant across widths).
 	Iters      int
 	OpsPerIter int
-	// AllocsPerOp and BytesPerOp are means across the repeats; Metrics
-	// is the event-counter total of the last repeat. See RepeatMeasured.
-	AllocsPerOp float64
-	BytesPerOp  float64
-	Metrics     core.Snapshot
-	// GOMAXPROCS is the effective scheduler width the cell ran under
-	// (after any profile override) — see Result.GOMAXPROCS. Cells with
-	// Threads > GOMAXPROCS measure scheduler multiplexing, not
-	// parallelism, and drivers warn on them.
-	GOMAXPROCS int
+	// Result is the measurement side as RepeatMeasured returns it:
+	// allocation means across the repeats, everything else from the
+	// last repeat. Cells with Threads > Result.GOMAXPROCS measure
+	// scheduler multiplexing, not parallelism, and drivers warn on them.
+	Result
 }
 
 // Sweep measures every algorithm at every thread count — one panel of a
@@ -350,9 +416,7 @@ func Sweep(algs []Algorithm, threadCounts []int, base Config, repeats int) ([]Sw
 			}
 			out = append(out, SweepPoint{
 				Algorithm: alg.Name, Threads: n, Summary: s,
-				Iters: cfg.Iters, OpsPerIter: cfg.OpsPerIter(),
-				AllocsPerOp: r.AllocsPerOp, BytesPerOp: r.BytesPerOp,
-				Metrics: r.Metrics, GOMAXPROCS: r.GOMAXPROCS,
+				Iters: cfg.Iters, OpsPerIter: cfg.OpsPerIter(), Result: r,
 			})
 		}
 	}

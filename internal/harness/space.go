@@ -102,16 +102,15 @@ type SpacePoint struct {
 }
 
 // SpaceSweep measures base-WF/LF and opt-WF(1+2)/LF live-heap ratios over
-// the given initial sizes — the two series of Figure 10 — plus the
-// base-WF-with-clear-on-exit series that isolated the §3.3 "descriptor
-// pins dequeued nodes" effect (see EXPERIMENTS.md; every GC variant now
-// clears on exit, so the third series matches the first). repeats runs
-// are averaged per cell (the paper averaged ten).
+// the given initial sizes — the two series of Figure 10 — plus ring-WF/LF,
+// which puts the ring's bounded segment footprint next to the paper's
+// per-node overhead. repeats runs are averaged per cell (the paper
+// averaged ten).
 func SpaceSweep(sizes []int, cfg SpaceConfig, repeats int) ([]SpacePoint, error) {
 	if repeats <= 0 {
 		return nil, fmt.Errorf("harness: repeats must be positive")
 	}
-	algs := []Algorithm{LF(), BaseWF(), OptWF12(), BaseWFClear()}
+	algs := []Algorithm{LF(), BaseWF(), OptWF12(), RingWF()}
 	var out []SpacePoint
 	for _, size := range sizes {
 		c := cfg

@@ -96,7 +96,7 @@ func statusErr(resp wire.Response) error {
 
 // CreateOptions configures a remote queue. Zero values take server
 // defaults; Backend accepts the qsvc.ParseBackend vocabulary
-// ("fast", "core", "ring", "sharded", "sharded-ring", "").
+// ("ring", "sharded-ring", "").
 type CreateOptions struct {
 	Backend     string
 	Shards      int

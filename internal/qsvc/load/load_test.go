@@ -104,7 +104,7 @@ func TestPoissonOpenLoop(t *testing.T) {
 	res, err := Run(Config{
 		Addr:      addr,
 		Queue:     "poisson",
-		Backend:   "core",
+		Backend:   "ring",
 		Profile:   "poisson",
 		Rate:      2000,
 		Conns:     8,

@@ -5,9 +5,9 @@
 //   - a Registry of NAMED queues (create / lookup / delete), with
 //     generation-keyed identities so a deleted-then-recreated name can
 //     never be confused with its predecessor;
-//   - a request ENVELOPE around any facade backend (core / fast /
-//     sharded / ring) carrying the enqueue timestamp and, optionally, a
-//     per-request deadline;
+//   - a request ENVELOPE around the ring backend (optionally sharded)
+//     carrying the enqueue timestamp and, optionally, a per-request
+//     deadline;
 //   - a Tick-driven TIMEOUT SWEEP in the style of sigmaos's
 //     Queue.TimeoutReqs (see SNIPPETS.md, snippet 1): expired requests
 //     are completed with a deadline error off the hot path, and the
@@ -77,53 +77,35 @@ var (
 // and the session (handle) namespace.
 const DefaultMaxThreads = 256
 
-// Backend selects which facade engine a queue runs on.
+// Backend selects which facade engine a queue runs on. The ring engine
+// is the only one served: it beats the KP fast path at every measured
+// thread count (results/ring/BENCH_campaign_pairs_g2.json).
 type Backend uint8
 
-const (
-	// BackendFast is the fast-path/slow-path KP engine (WithFastPath) —
-	// the default.
-	BackendFast Backend = iota
-	// BackendCore is the plain Opt12 KP engine.
-	BackendCore
-	// BackendRing is the ring-segment storage engine (WithRing).
-	BackendRing
-)
+// BackendRing is the ring-segment storage engine (WithRing), the zero
+// Backend.
+const BackendRing Backend = 0
 
 // String names the backend as the flag/wire layers spell it.
-func (b Backend) String() string {
-	switch b {
-	case BackendCore:
-		return "core"
-	case BackendRing:
-		return "ring"
-	default:
-		return "fast"
-	}
-}
+func (Backend) String() string { return "ring" }
 
 // ParseBackend maps a flag/wire spelling onto a Backend plus an implied
-// shard count (0 = unsharded). "sharded" and "sharded-ring" select four
-// shards unless the Config overrides Shards explicitly.
+// shard count (0 = unsharded): "" and "ring" select the ring engine,
+// "sharded-ring" four ring shards unless the Config overrides Shards
+// explicitly.
 func ParseBackend(s string) (Backend, int, error) {
 	switch s {
-	case "", "fast":
-		return BackendFast, 0, nil
-	case "core":
-		return BackendCore, 0, nil
-	case "ring":
+	case "", "ring":
 		return BackendRing, 0, nil
-	case "sharded":
-		return BackendFast, 4, nil
 	case "sharded-ring":
 		return BackendRing, 4, nil
 	default:
-		return BackendFast, 0, fmt.Errorf("qsvc: unknown backend %q", s)
+		return BackendRing, 0, fmt.Errorf("qsvc: unknown backend %q (want ring or sharded-ring)", s)
 	}
 }
 
 // Config describes one named queue. The zero value is a usable default:
-// fast-path backend, DefaultMaxThreads sessions, no caps.
+// ring backend, DefaultMaxThreads sessions, no caps.
 type Config struct {
 	// Backend selects the engine; Shards > 1 puts the ticket dispatcher
 	// in front of it; SegSize tunes the ring segment size (0 default).
@@ -146,15 +128,7 @@ type Config struct {
 
 // options translates the Config into facade options.
 func (c Config) options() []wfq.Option {
-	var opts []wfq.Option
-	switch c.Backend {
-	case BackendRing:
-		opts = append(opts, wfq.WithRing(c.SegSize))
-	case BackendCore:
-		// plain Opt12 default
-	default:
-		opts = append(opts, wfq.WithFastPath(0))
-	}
+	opts := []wfq.Option{wfq.WithRing(c.SegSize)}
 	if c.Shards > 1 {
 		opts = append(opts, wfq.WithShards(c.Shards))
 	}

@@ -70,7 +70,7 @@ func TestRegistryLifecycle(t *testing.T) {
 // every backend: FIFO delivery, depth accounting, and the delay
 // histogram counting every delivery.
 func TestEnqueueDequeueRoundtrip(t *testing.T) {
-	for _, backend := range []Backend{BackendFast, BackendCore, BackendRing} {
+	for _, backend := range []Backend{BackendRing} {
 		t.Run(backend.String(), func(t *testing.T) {
 			r := NewRegistry[int64]()
 			q, err := r.Create("q", Config{Backend: backend})
@@ -591,11 +591,8 @@ func TestParseBackend(t *testing.T) {
 		b      Backend
 		shards int
 	}{
-		{"", BackendFast, 0},
-		{"fast", BackendFast, 0},
-		{"core", BackendCore, 0},
+		{"", BackendRing, 0},
 		{"ring", BackendRing, 0},
-		{"sharded", BackendFast, 4},
 		{"sharded-ring", BackendRing, 4},
 	} {
 		b, sh, err := ParseBackend(tc.in)
@@ -603,8 +600,10 @@ func TestParseBackend(t *testing.T) {
 			t.Fatalf("ParseBackend(%q) = (%v, %d, %v)", tc.in, b, sh, err)
 		}
 	}
-	if _, _, err := ParseBackend("bogus"); err == nil {
-		t.Fatal("ParseBackend accepted bogus backend")
+	for _, bad := range []string{"bogus", "fast", "core", "sharded"} {
+		if _, _, err := ParseBackend(bad); err == nil {
+			t.Fatalf("ParseBackend accepted %q", bad)
+		}
 	}
 }
 

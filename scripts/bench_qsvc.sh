@@ -1,7 +1,7 @@
 #!/bin/sh
 # Regenerate results/BENCH_qsvc.json: boot wfqserve on an ephemeral
 # port and run the wfqload snapshot matrix against it — the Poisson
-# arrival-rate sweep over {core, ring}, bursty overload into an
+# arrival-rate sweep over the ring backend, bursty overload into an
 # admission cap, and the closed loop at -users (default 10000).
 # Usage: sh scripts/bench_qsvc.sh [users] [duration]
 set -eu

@@ -68,7 +68,8 @@ go test -run='^$' -bench BenchmarkStepSeries -benchtime=1x ./internal/chaos/
 # Scaling observatory: campaign smoke + perf regression gate.
 # 1. A tiny live matrix exercises the runner, per-cell GOMAXPROCS
 #    stamping, snapshot and SVG chart paths end to end (fast WF and
-#    ring WF on pairs: the ring fast path must run, not just pass tests).
+#    ring WF on pairs: the ring fast path must run, not just pass tests),
+#    plus one latency cell, one park cell and a small Figure 10.
 # 2. The gate must PASS on the committed baseline (loads every
 #    results/BENCH_campaign_*.json, matches all cells, zero regressions
 #    — this is also the schema-stays-parseable check).
@@ -78,6 +79,13 @@ go test -run='^$' -bench BenchmarkStepSeries -benchtime=1x ./internal/chaos/
 #    host-speed sensitive; the live re-measuring gate is `make gate`.
 camp_tmp=$(mktemp -d)
 go run ./cmd/wfqcampaign -quick -out "$camp_tmp/quick"
+# The folded measurement paths, one cell each: per-operation latency
+# percentiles (the latency workload) and the blocking-consumer park
+# workload (conservation-checked; runs ~4 s of wall time).
+go run ./cmd/wfqcampaign -variants "opt WF (1+2)" -workloads latency -threads 2 -procs 2 -iters 2000 -repeats 1 -nocharts -out "$camp_tmp/lat"
+go run ./cmd/wfqcampaign -variants "blocking WF" -workloads park -threads 2 -procs 2 -repeats 1 -nocharts -out "$camp_tmp/park"
+# Figure 10 smoke at 10^0..10^2 (the committed figure is 10^0..10^6).
+go run ./cmd/wfqpaper -fig 10 -maxexp 2
 go run ./cmd/wfqcampaign -gate -baseline results -candidate results
 # Every per-recipe snapshot directory (results/ring/, ...) stays
 # parseable and matches at least one cell against itself.
